@@ -34,9 +34,9 @@ from fractions import Fraction
 from .frontier import NodeCapExceeded, construct_bdd
 from .graph import Graph, GraphError, SteinerTree, order_edges, parse_stp, simplify, write_stp
 from .oracle import OracleError, brute_force_minimal_steiner
-from .pipeline import RunConfig, RunResult, run
+from .pipeline import RunConfig, RunResult, resolve_theta, run
 from .seeds import SeedConfig, select_seeds
-from .traverse import count_trees, reduce_bdd
+from .traverse import count_trees, reduce_bdd, validate_tree
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 3
@@ -146,12 +146,12 @@ def _parse_root(args) -> int | None:
                          f"got {args.seed_root!r}")
 
 
-def _build_config(args) -> RunConfig:
+def _build_config(args, g: Graph) -> RunConfig:
     theta, ratio = _parse_theta(args)
     exact = getattr(args, "exact", False)
     seed_trees = None
     if getattr(args, "seeds_from_file", None):
-        seed_trees = _load_seed_file(args.seeds_from_file, _load_graph(args.input))
+        seed_trees = _load_seed_file(args.seeds_from_file, g)
     return RunConfig(
         k=getattr(args, "k", 1000),
         theta=theta,
@@ -175,6 +175,7 @@ def _load_seed_file(path: str, g: Graph) -> tuple[frozenset[int], ...]:
 
     Endpoint pairs resolve to the smallest matching edge index; for
     parallel edges supply the intended index via {"edge_indices": [...]}.
+    Every tree must be a minimal Steiner tree of ``g``.
     """
     lookup: dict[tuple[int, int], int] = {}
     for idx, (u, v, _) in enumerate(g.edges):
@@ -199,7 +200,10 @@ def _load_seed_file(path: str, g: Graph) -> tuple[frozenset[int], ...]:
                     if key not in lookup:
                         raise GraphError(f"{path}:{ln}: no edge between {u} and {v}")
                     idxs.append(lookup[key])
-            trees.append(frozenset(idxs))
+            tree = frozenset(idxs)
+            if not validate_tree(SteinerTree(tree, g.tree_cost(tree)), g):
+                raise GraphError(f"{path}:{ln}: not a minimal Steiner tree")
+            trees.append(tree)
     if not trees:
         raise GraphError(f"{path}: no trees found")
     return tuple(trees)
@@ -273,7 +277,7 @@ def _cmd_seeds(args) -> int:
 
 def _cmd_build(args) -> int:
     g = _load_graph(args.input)
-    cfg = _build_config(args)
+    cfg = _build_config(args, g)
     res = run(g, cfg, want_dump=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -290,7 +294,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args.input)
-    cfg = _build_config(args)
+    cfg = _build_config(args, g)
     res = run(g, cfg, want_dump=args.dump_bdd is not None)
     _emit_trees(res.trees, g, args.output)
     if args.dump_bdd:
@@ -331,8 +335,8 @@ def _cmd_oracle(args) -> int:
     g = _load_graph(args.input)
     theta, _ = _parse_theta(args)
     bound = None
-    if theta is not None and theta != float("inf"):
-        bound = int(theta * g.cost_scale)
+    if theta is not None:
+        bound = resolve_theta(RunConfig(theta=theta), g, None)
     trees = brute_force_minimal_steiner(g, bound)
     _emit_trees(trees, g, args.output)
     print(f"oracle: {len(trees)} tree(s)", file=sys.stderr)

@@ -1,15 +1,15 @@
 """Layered decision-diagram construction by frontier-based search.
 
-One edge is decided per level, in the order fixed by an EdgeOrder.  Each
-node keeps just enough information about the frontier (the vertices that
-still touch undecided edges) to classify every extension: component
-membership of chosen edges, terminal counts and escape counts per
-component, and per-vertex degrees.  Branches that can no longer complete
-a minimal Steiner tree of cost <= theta go to the 0-sink; branches whose
-chosen edges form exactly such a tree go to the 1-sink.  Nodes whose
-futures are indistinguishable are merged, keeping the cheaper cost, so a
-node's cost is a lower bound over its incoming paths; the exact filter
-happens during traversal.
+One edge is decided per level, in the order fixed by an EdgeOrder.  A
+node's state summarizes the chosen edges as seen from the frontier (the
+vertices that still touch undecided edges): which frontier vertices
+share a component, whether each component holds a terminal, and each
+frontier vertex's degree.  Branches that can no longer complete a
+minimal Steiner tree of cost <= theta go to the 0-sink; branches whose
+chosen edges form exactly such a tree go to the 1-sink.  Nodes with
+equal states have indistinguishable futures and are merged, keeping the
+cheaper cost, so a node's cost is a lower bound over its incoming paths;
+the exact filter happens during traversal.
 """
 
 from __future__ import annotations
@@ -41,32 +41,6 @@ class NodeCapExceeded(ConstructionError):
         self.layer_sizes = layer_sizes
 
 
-class NodeInfo:
-    """Mutable frontier summary attached to one node during construction.
-
-    comp maps each frontier vertex to its component id (the smallest
-    vertex id the component has absorbed).  deg counts chosen edges at
-    each frontier vertex.  tcnt and upe are per-component: terminals
-    connected so far, and undecided edge-ends touching the component's
-    frontier vertices (an undecided edge inside one component counts
-    twice, which keeps the merge arithmetic exact).
-    """
-
-    __slots__ = ("comp", "deg", "tcnt", "upe", "cost")
-
-    def __init__(self, comp=None, deg=None, tcnt=None, upe=None, cost=0):
-        self.comp: dict[int, int] = comp if comp is not None else {}
-        self.deg: dict[int, int] = deg if deg is not None else {}
-        self.tcnt: dict[int, int] = tcnt if tcnt is not None else {}
-        self.upe: dict[int, int] = upe if upe is not None else {}
-        self.cost: int = cost
-
-    def copy(self) -> "NodeInfo":
-        return NodeInfo(
-            dict(self.comp), dict(self.deg), dict(self.tcnt), dict(self.upe), self.cost
-        )
-
-
 @dataclass(frozen=True)
 class Bdd:
     """Layered diagram over an edge order.
@@ -76,7 +50,6 @@ class Bdd:
     decision variable is the i-th ordered edge (1-based; ``levels[0]`` is
     empty).  ``edge_order``/``edge_costs`` carry, per level, the original
     edge index and its cost, so traversal needs no extra context.
-    ``node_cost`` holds the construction-time minimum path cost per node.
     ``root`` is 0 when no assignment survived construction or reduction.
     """
 
@@ -88,7 +61,6 @@ class Bdd:
     hi: tuple[int, ...]
     level_of: tuple[int, ...]
     levels: tuple[tuple[int, ...], ...]
-    node_cost: tuple[int, ...]
 
     @property
     def node_count(self) -> int:
@@ -108,203 +80,188 @@ class Bdd:
         return "\n".join(out) + "\n"
 
 
+@dataclass(frozen=True)
+class _Step:
+    """Static data for deciding the i-th ordered edge (u, v).
+
+    A state entering step i covers ``order.frontier_sets[i-1]``; with
+    ``fresh`` appended it becomes the working sequence that every index
+    below points into.
+    """
+
+    cost: int
+    fresh: tuple[tuple[int, bool, int], ...]  # endpoints entering here
+    iu: int
+    iv: int
+    undecided: tuple[int, ...]  # per vertex: edge-ends not yet decided
+    leaving: tuple[int, ...]  # non-terminal endpoints on their last edge
+    nonterminal_ends: tuple[int, ...]
+    others: tuple[tuple[int, bool], ...]  # (index, is a non-terminal)
+    plan: tuple[tuple[int, int], ...]  # (vertex, index), frontier_sets[i]
+    all_seen: bool  # every terminal has entered the frontier
+
+
 class FrontierSearch:
     """Step logic shared by construction and the unit tests.
 
-    Bound to one (graph, order, theta) triple; the per-level static data
-    (entry/exit steps, incident undecided counts) is precomputed here.
+    A state is the immutable tuple stored for a node at level i: one
+    ``(representative, component holds a terminal, degree)`` entry per
+    vertex of ``order.frontier_sets[i-1]`` in ascending vertex order.  A
+    component's representative is its first frontier vertex, so equal
+    tuples mean equal partitions, and the tuple is its own merge key.
+    Exact terminal counts, undecided edge-ends per component and the
+    path cost are not stored: the first two follow from the tuple and
+    the level, and the cost is the caller's concern.
     """
 
-    def __init__(self, g: Graph, order: EdgeOrder, theta: int | None = None):
+    def __init__(self, g: Graph, order: EdgeOrder):
         if len(g.terminals) < 2:
             raise GraphError("enumeration needs at least two terminals")
-        if theta is not None and theta < 0:
-            raise GraphError("theta must be non-negative")
         if len(order.permutation) != len(g.edges):
             raise GraphError("edge order does not match the graph")
-        self.graph = g
-        self.order = order
-        self.theta = theta
-        self.terminals = g.terminals
-        self.num_terminals = len(g.terminals)
-        self.first_pos: dict[int, int] = {}
-        self.last_pos: dict[int, int] = {}
+        terms = g.terminals
+        first_pos: dict[int, int] = {}
+        last_pos: dict[int, int] = {}
         for i, idx in enumerate(order.permutation, 1):
             u, v, _ = g.edges[idx]
             for z in (u, v):
-                self.first_pos.setdefault(z, i)
-                self.last_pos[z] = i
-
-    def step_edge(self, i: int) -> tuple[int, int, int]:
-        return self.graph.edges[self.order.permutation[i - 1]]
-
-    def materialize(self, info: NodeInfo, i: int) -> NodeInfo:
-        """Copy ``info`` and add fresh entries for endpoints entering at step i.
-
-        A vertex enters the frontier exactly when its first incident edge
-        comes up, as a singleton component: its own id, degree 0, one
-        terminal if it is one, and every incident edge still undecided.
-        Vertices that enter and leave in the same step get an entry too,
-        so the sink tests can treat all endpoints uniformly.
-        """
-        u, v, _ = self.step_edge(i)
-        out = info.copy()
-        for z in (u, v):
-            if z not in out.comp:
-                out.comp[z] = z
-                out.deg[z] = 0
-                out.tcnt[z] = 1 if z in self.terminals else 0
-                out.upe[z] = len(self.graph.adjacency[z])
-        return out
+                first_pos.setdefault(z, i)
+                last_pos[z] = i
+        all_seen_at = max(first_pos.get(t, len(g.edges) + 1) for t in terms)
+        remaining = [len(a) for a in g.adjacency]
+        self.steps: list[_Step | None] = [None]
+        for i, idx in enumerate(order.permutation, 1):
+            u, v, c = g.edges[idx]
+            entering = [z for z in dict.fromkeys((u, v)) if first_pos[z] == i]
+            vertices = sorted(order.frontier_sets[i - 1]) + entering
+            at = {z: j for j, z in enumerate(vertices)}
+            iu, iv = at[u], at[v]
+            ends = dict.fromkeys((iu, iv))
+            self.steps.append(_Step(
+                cost=c,
+                fresh=tuple((z, z in terms, 0) for z in entering),
+                iu=iu,
+                iv=iv,
+                undecided=tuple(remaining[z] for z in vertices),
+                leaving=tuple(
+                    j for j in ends
+                    if last_pos[vertices[j]] == i and vertices[j] not in terms
+                ),
+                nonterminal_ends=tuple(
+                    j for j in ends if vertices[j] not in terms
+                ),
+                others=tuple(
+                    (j, z not in terms)
+                    for j, z in enumerate(vertices) if j not in ends
+                ),
+                plan=tuple((f, at[f]) for f in sorted(order.frontier_sets[i])),
+                all_seen=i >= all_seen_at,
+            ))
+            remaining[u] -= 1
+            remaining[v] -= 1
 
     # -- sink classification ------------------------------------------------
 
-    def is_one_sink(self, info: NodeInfo, i: int, x: int) -> bool:
+    @staticmethod
+    def _undecided(ext: tuple, step: _Step, rep: int) -> int:
+        """Undecided edge-ends, this edge's included, of component ``rep``
+        (an undecided edge inside the component counts twice)."""
+        return sum([r for e, r in zip(ext, step.undecided) if e[0] == rep])
+
+    @staticmethod
+    def _holds_all(ext: tuple, step: _Step, cu: int, cv: int) -> bool:
+        """True iff components cu and cv together hold every terminal.
+
+        Every terminal that has entered sits in some frontier component,
+        unless all of them were sealed off in one component that left
+        the frontier (the zero-sink rules kill a branch that seals off
+        only some); then no frontier component holds a terminal.
+        """
+        if not step.all_seen:
+            return False
+        holders = {rep for rep, t, _ in ext if t}
+        return bool(holders) and holders <= {cu, cv}
+
+    def is_one_sink(self, state: tuple, i: int, x: int) -> bool:
         """True iff taking edge i completes a minimal Steiner tree right now.
 
         Only an inclusion can complete a tree.  The chosen edges plus
         edge i must connect all terminals in one acyclic component, leave
         no non-terminal with degree 1, and leave no other component
         holding edges; earlier exits were already screened, so checking
-        the live frontier suffices.  ``info`` must be materialized.
+        the live frontier suffices.  The cost bound is not checked here.
         """
         if x != 1:
             return False
-        u, v, c = self.step_edge(i)
-        if self.theta is not None and info.cost + c > self.theta:
-            # node cost is the exact minimum over incoming paths, so not
-            # even the cheapest history finishes within budget here
+        step = self.steps[i]
+        ext = state + step.fresh
+        cu = ext[step.iu][0]
+        cv = ext[step.iv][0]
+        if cu == cv or not self._holds_all(ext, step, cu, cv):
             return False
-        cu, cv = info.comp[u], info.comp[v]
-        if cu == cv:
-            return False
-        if info.tcnt[cu] + info.tcnt[cv] != self.num_terminals:
-            return False
-        terms = self.terminals
-        deg = info.deg
         # the endpoints end at degree deg+1; degree 1 is a leaf
-        if deg[u] == 0 and u not in terms:
+        if any(ext[j][2] == 0 for j in step.nonterminal_ends):
             return False
-        if deg[v] == 0 and v not in terms:
-            return False
-        for f, cf in info.comp.items():
-            if f == u or f == v:
-                continue
-            d = deg[f]
-            if cf == cu or cf == cv:
-                if d == 1 and f not in terms:
-                    return False
-            elif d:
+        for j, nonterminal in step.others:
+            rep, _, d = ext[j]
+            if d and (d == 1 and nonterminal or rep != cu and rep != cv):
                 return False
         return True
 
-    def is_zero_sink(self, info: NodeInfo, i: int, x: int) -> bool:
+    def is_zero_sink(self, state: tuple, i: int, x: int) -> bool:
         """True iff branch x of edge i can never reach a qualifying tree.
 
-        ``info`` must be materialized.  Exclusion dies when it strands a
-        terminal-bearing component (its last undecided edge-ends are this
-        edge) or makes a leaving non-terminal a leaf.  Inclusion dies on
-        a cycle, on a leaving non-terminal that would end as a leaf, when
-        even the cheapest path cost would exceed theta, or when it seals
-        off a component holding some but not all terminals.
+        Exclusion dies when it strands a terminal-bearing component (its
+        last undecided edge-ends are this edge) or makes a leaving
+        non-terminal a leaf.  Inclusion dies on a cycle, on a leaving
+        non-terminal that would end as a leaf, or when it seals off a
+        component holding some but not all terminals.  The cost bound is
+        not checked here.
         """
-        u, v, _ = self.step_edge(i)
-        cu, cv = info.comp[u], info.comp[v]
+        step = self.steps[i]
+        ext = state + step.fresh
+        cu, tu, _ = ext[step.iu]
+        cv, tv, _ = ext[step.iv]
         if x == 0:
-            if cu == cv:
-                if info.tcnt[cu] > 0 and info.upe[cu] == 2:
-                    return True
-            else:
-                if info.tcnt[cu] > 0 and info.upe[cu] == 1:
-                    return True
-                if info.tcnt[cv] > 0 and info.upe[cv] == 1:
-                    return True
-            for z in (u, v):
-                if (
-                    self.last_pos[z] == i
-                    and info.deg[z] == 1
-                    and z not in self.terminals
-                ):
-                    return True
-            return False
-
-        if cu == cv:
-            return True
-        cost_edge = self.step_edge(i)[2]
-        if self.theta is not None and info.cost + cost_edge > self.theta:
-            return True
-        for z in (u, v):
-            if self.last_pos[z] == i and info.deg[z] == 0 and z not in self.terminals:
+            if any(ext[j][2] == 1 for j in step.leaving):
                 return True
-        merged_u = info.upe[cu] + info.upe[cv] - 2
-        merged_t = info.tcnt[cu] + info.tcnt[cv]
-        if merged_u == 0 and 0 < merged_t < self.num_terminals:
+            ends = 2 if cu == cv else 1
+            return (tu and self._undecided(ext, step, cu) == ends) or (
+                tv and self._undecided(ext, step, cv) == ends
+            )
+        if cu == cv or any(ext[j][2] == 0 for j in step.leaving):
             return True
-        return False
+        return (
+            (tu or tv)
+            and self._undecided(ext, step, cu) + self._undecided(ext, step, cv) == 2
+            and not self._holds_all(ext, step, cu, cv)
+        )
 
     # -- node generation ----------------------------------------------------
 
-    def generate(self, info: NodeInfo, i: int, x: int) -> NodeInfo:
-        """Successor frontier state for branch x of edge i (materialized input).
+    def generate(self, state: tuple, i: int, x: int) -> tuple:
+        """Successor state for branch x of edge i.
 
-        Exclusion releases one undecided edge-end per endpoint component.
-        Inclusion merges the endpoint components under the smaller id,
-        adds terminal counts, combines escape counts (minus the two ends
-        of this edge), bumps endpoint degrees, and pays the edge cost.
-        Endpoints whose last edge this was drop out, and component
-        records with no frontier members left are discarded.
+        Inclusion merges the endpoint components, which then hold a
+        terminal if either did, and bumps both endpoint degrees.
+        Endpoints whose last edge this was drop out, and every component
+        is renamed after its first remaining frontier vertex.  The empty
+        tuple means the frontier emptied.
         """
-        u, v, c = self.step_edge(i)
-        out = info.copy()
-        cu, cv = out.comp[u], out.comp[v]
-        if x == 1:
-            keep, gone = (cu, cv) if cu <= cv else (cv, cu)
-            if keep != gone:
-                for f, cf in out.comp.items():
-                    if cf == gone:
-                        out.comp[f] = keep
-                out.tcnt[keep] += out.tcnt.pop(gone)
-                out.upe[keep] += out.upe.pop(gone)
-            out.upe[keep] -= 2
-            out.deg[u] += 1
-            out.deg[v] += 1
-            out.cost += c
-        else:
-            if cu == cv:
-                out.upe[cu] -= 2
-            else:
-                out.upe[cu] -= 1
-                out.upe[cv] -= 1
-        for z in (u, v):
-            if z in out.comp and self.last_pos[z] == i:
-                del out.comp[z]
-                del out.deg[z]
-        survivors = set(out.comp.values())
-        for cid in list(out.tcnt):
-            if cid not in survivors:
-                del out.tcnt[cid]
-                del out.upe[cid]
-        return out
-
-    @staticmethod
-    def merge_key(info: NodeInfo) -> tuple:
-        """Hashable signature deciding which same-level nodes merge.
-
-        Two nodes merge when their frontier partitions agree, each
-        matching component agrees on whether it holds any terminal, and
-        every frontier vertex agrees on degree.  Exact terminal counts
-        and costs are deliberately absent: counts are conserved across a
-        level, so the completion test fires identically, and cost
-        differences are resolved at traversal time.
-        """
-        rep: dict[int, int] = {}
-        parts = []
-        for f in sorted(info.comp):
-            cf = info.comp[f]
-            parts.append(
-                (rep.setdefault(cf, f), info.tcnt[cf] > 0, info.deg[f])
-            )
-        return tuple(parts)
+        step = self.steps[i]
+        ext = state + step.fresh
+        cu, tu, _ = ext[step.iu]
+        cv, tv, _ = ext[step.iv]
+        reps: dict[int, int] = {}
+        out = []
+        for f, j in step.plan:
+            rep, t, d = ext[j]
+            if x:
+                if rep == cu or rep == cv:
+                    rep, t = cu, tu or tv
+                d += (j == step.iu) + (j == step.iv)
+            out.append((reps.setdefault(rep, f), t, d))
+        return tuple(out)
 
 
 def construct_bdd(
@@ -319,11 +276,15 @@ def construct_bdd(
     minimal Steiner trees of cost <= theta (plus, possibly, cheaper-
     looking paths that the exact traversal filter later discards).
 
-    Levels are processed once each; only the previous layer's frontier
-    summaries stay in memory.  ``merge_nodes=False`` disables merging
-    (exponential; debugging aid for equivalence checks on tiny inputs).
+    Levels are processed once each; only the previous layer's states
+    stay in memory.  An inclusion dies when even the cheapest path into
+    its node, plus the edge, exceeds theta.  ``merge_nodes=False``
+    disables merging (exponential; debugging aid for equivalence checks
+    on tiny inputs).
     """
-    search = FrontierSearch(g, order, theta)
+    search = FrontierSearch(g, order)
+    if theta is not None and theta < 0:
+        raise GraphError("theta must be non-negative")
     m = len(order.permutation)
     if m == 0:
         raise GraphError("cannot build a diagram over zero edges")
@@ -331,6 +292,7 @@ def construct_bdd(
     lo: list[int] = [-1, -1]
     hi: list[int] = [-1, -1]
     level_of: list[int] = [0, 0]
+    # minimum path cost into each node, over the paths merged into it
     node_cost: list[int] = [0, 0]
     levels: list[list[int]] = [[] for _ in range(m + 1)]
 
@@ -341,33 +303,30 @@ def construct_bdd(
     node_cost.append(0)
     levels[1].append(root)
 
-    current: list[tuple[int, NodeInfo]] = [(root, NodeInfo())]
+    current: list[tuple[int, tuple]] = [(root, ())]
     for i in range(1, m + 1):
-        nxt: list[tuple[int, NodeInfo]] = []
-        table: dict[tuple, tuple[int, NodeInfo]] = {}
-        for nid, info in current:
-            base = search.materialize(info, i)
+        c = search.steps[i].cost
+        nxt: list[tuple[int, tuple]] = []
+        table: dict[tuple, int] = {}
+        for nid, state in current:
             arcs = [ZERO, ZERO]
             for x in (0, 1):
-                if search.is_one_sink(base, i, x):
+                cost = node_cost[nid] + c * x
+                if x and theta is not None and cost > theta:
+                    continue
+                if search.is_one_sink(state, i, x):
                     arcs[x] = ONE
                     continue
-                if search.is_zero_sink(base, i, x):
-                    arcs[x] = ZERO
+                if search.is_zero_sink(state, i, x):
                     continue
-                child = search.generate(base, i, x)
-                if not child.comp:
+                child = search.generate(state, i, x)
+                if not child:
                     # frontier emptied without completing: dead branch
                     # (can only happen at the last level on connected input)
-                    arcs[x] = ZERO
                     continue
-                key = FrontierSearch.merge_key(child)
-                hit = table.get(key) if merge_nodes else None
-                if hit is not None:
-                    kept_id, kept = hit
-                    if child.cost < kept.cost:
-                        kept.cost = child.cost
-                        node_cost[kept_id] = child.cost
+                kept_id = table.get(child)
+                if kept_id is not None:
+                    node_cost[kept_id] = min(node_cost[kept_id], cost)
                     arcs[x] = kept_id
                     continue
                 new_id = len(lo)
@@ -378,17 +337,17 @@ def construct_bdd(
                 lo.append(ZERO)
                 hi.append(ZERO)
                 level_of.append(i + 1)
-                node_cost.append(child.cost)
+                node_cost.append(cost)
                 levels[i + 1].append(new_id)
                 if merge_nodes:
-                    table[key] = (new_id, child)
+                    table[child] = new_id
                 nxt.append((new_id, child))
                 arcs[x] = new_id
             lo[nid], hi[nid] = arcs
         current = nxt
 
     # any state surviving past the last level is impossible on connected
-    # input; generate() already routed empty frontiers to the 0-sink
+    # input; empty successor states were already routed to the 0-sink
     assert not current, "non-sink state escaped the final level"
 
     return Bdd(
@@ -400,5 +359,4 @@ def construct_bdd(
         hi=tuple(hi),
         level_of=tuple(level_of),
         levels=tuple(tuple(lvl) for lvl in levels),
-        node_cost=tuple(node_cost),
     )

@@ -82,15 +82,24 @@ def resolve_theta(
 ) -> int | None:
     """Scaled integer bound, or None for unbounded.  Absolute theta
     scales by the graph's fixed-point factor; a ratio takes the floor of
-    ratio * reference."""
+    ratio * reference.  A float theta counts as the decimal it prints
+    as, so 0.29 means 29/100 rather than the binary value just below.
+    A negative bound is rejected."""
     if cfg.theta is not None:
         if cfg.theta == math.inf:
             return None
-        return math.floor(cfg.theta * g.cost_scale)
-    ratio = cfg.theta_ratio if cfg.theta_ratio is not None else Fraction(6, 5)
-    if reference_cost is None:
-        raise GraphError("theta_ratio needs a reference tree cost")
-    return math.floor(ratio * reference_cost)
+        theta = cfg.theta
+        if isinstance(theta, float):
+            theta = Fraction(repr(theta))
+        bound = math.floor(theta * g.cost_scale)
+    else:
+        ratio = cfg.theta_ratio if cfg.theta_ratio is not None else Fraction(6, 5)
+        if reference_cost is None:
+            raise GraphError("theta_ratio needs a reference tree cost")
+        bound = math.floor(ratio * reference_cost)
+    if bound < 0:
+        raise GraphError("theta must be non-negative")
+    return bound
 
 
 def run(g: Graph, cfg: RunConfig = RunConfig(), *, want_dump: bool = False) -> RunResult:

@@ -67,14 +67,12 @@ def reduce_bdd(bdd: Bdd) -> Bdd:
     lo = [-1, -1]
     hi = [-1, -1]
     level_of = [0, 0]
-    node_cost = [0, 0]
     for level in range(1, bdd.level_count + 1):
         for nid in bdd.levels[level]:
             if alive[nid]:
                 lo.append(remap[new_lo[nid]])
                 hi.append(remap[new_hi[nid]])
                 level_of.append(level)
-                node_cost.append(bdd.node_cost[nid])
 
     root = remap.get(bdd.root, ZERO) if bdd.root >= 2 else bdd.root
     if root >= 2 and not alive[bdd.root]:
@@ -88,7 +86,6 @@ def reduce_bdd(bdd: Bdd) -> Bdd:
         hi=tuple(hi),
         level_of=tuple(level_of),
         levels=tuple(tuple(lvl) for lvl in levels),
-        node_cost=tuple(node_cost),
     )
 
 

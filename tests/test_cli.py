@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from steinerenum import cli, parse_stp
 from .conftest import TRIANGLE_STP
 
 CLI = [sys.executable, "-m", "steinerenum"]
@@ -186,6 +187,53 @@ class TestOtherSubcommands:
     def test_oracle_theta(self, tri_path):
         proc = run_cli("oracle", "--input", tri_path, "--theta", "2")
         assert proc.stdout.splitlines() == ['{"cost": 2, "edges": [[1, 2], [2, 3]]}']
+
+    def test_oracle_negative_theta_is_3(self, tmp_path):
+        p = tmp_path / "edge.stp"
+        p.write_text(
+            "SECTION Graph\nNodes 2\nEdges 1\nE 1 2 0\nEND\n"
+            "SECTION Terminals\nTerminals 2\nT 1\nT 2\nEND\nEOF\n"
+        )
+        for cmd in (("oracle",), ("enumerate", "--exact")):
+            proc = run_cli(*cmd, "--input", str(p), "--theta", "-0.5")
+            assert proc.returncode == 3
+            assert proc.stdout == ""
+            assert "theta must be non-negative" in proc.stderr
+
+    def test_seeds_from_file_rejects_non_tree(self, tri_path, tmp_path):
+        seeds = tmp_path / "seeds.jsonl"
+        seeds.write_text(
+            '{"edges": [[1, 3]]}\n{"edges": [[1, 2], [2, 3], [1, 3]]}\n'
+        )
+        proc = run_cli(
+            "enumerate", "--input", tri_path, "--theta-ratio", "1",
+            "--seeds-from-file", str(seeds),
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert f"{seeds}:2: not a minimal Steiner tree" in proc.stderr
+
+    def test_seeds_from_file_parses_input_once(
+        self, tri_path, tmp_path, monkeypatch, capsys
+    ):
+        seeds = tmp_path / "seeds.jsonl"
+        seeds.write_text('{"edges": [[1, 3]]}\n')
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_stp(text)
+
+        monkeypatch.setattr(cli, "parse_stp", counting_parse)
+        code = cli.main([
+            "enumerate", "--input", tri_path, "--theta", "inf",
+            "--seeds-from-file", str(seeds),
+        ])
+        assert code == 0
+        assert len(parsed) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            '{"cost": 3, "edges": [[1, 3]]}'
+        ]
 
     def test_seeds_from_file(self, tri_path, tmp_path):
         seeds = tmp_path / "seeds.jsonl"

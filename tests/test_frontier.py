@@ -1,5 +1,6 @@
 """Construction-level behavior: sink rules, merging, capacity, structure."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,10 +11,12 @@ from steinerenum import (
     FrontierSearch,
     NodeCapExceeded,
     construct_bdd,
+    enumerate_trees,
     order_edges,
+    reduce_bdd,
 )
-from steinerenum.frontier import NodeInfo, ONE, ZERO
-from .conftest import random_connected_graph
+from steinerenum.frontier import ONE, ZERO
+from .conftest import grid_graph, random_connected_graph
 
 
 def decoded_subsets(bdd):
@@ -36,11 +39,33 @@ def decoded_subsets(bdd):
     return set(found)
 
 
+def walk_states(search, bits):
+    """State after deciding the first len(bits) edges, checking that no
+    decision on the way reaches a sink."""
+    state = ()
+    for i, x in enumerate(bits, 1):
+        assert not search.is_one_sink(state, i, x)
+        assert not search.is_zero_sink(state, i, x)
+        state = search.generate(state, i, x)
+    return state
+
+
+def merge_cost_graph():
+    """A parallel pair ordered first: taking the cheap or the dear edge
+    leads to one frontier state."""
+    return Graph(
+        4,
+        ((1, 2, 1), (1, 2, 9), (2, 3, 1), (3, 4, 1)),
+        frozenset({1, 4}),
+    )
+
+
 class TestTriangleTrace:
     """Walk the canonical 3-edge instance step by step.
 
     Edge order from vertex 1 is (e0, e2, e1): first (1,2), then (1,3),
-    then (2,3).  The diagram must accept exactly {e0,e1} and {e2}.
+    then (2,3).  The frontier is {1, 2} after step 1 and {2, 3} after
+    step 2.  The diagram must accept exactly {e0,e1} and {e2}.
     """
 
     @pytest.fixture
@@ -49,57 +74,52 @@ class TestTriangleTrace:
         assert order.permutation == (0, 2, 1)
         return triangle, order, FrontierSearch(triangle, order)
 
-    def test_materialize_first_step(self, setup):
+    def test_first_step_states(self, setup):
         _, _, search = setup
-        base = search.materialize(NodeInfo(), 1)
-        assert base.comp == {1: 1, 2: 2}
-        assert base.deg == {1: 0, 2: 0}
-        assert base.tcnt == {1: 1, 2: 0}
-        assert base.upe == {1: 2, 2: 2}
+        # both endpoints enter as singletons; only vertex 1 is a terminal
+        assert search.generate((), 1, 0) == ((1, True, 0), (2, False, 0))
+        assert search.generate((), 1, 1) == ((1, True, 1), (1, True, 1))
+        # every incident edge of 1 and 2 is still undecided at step 1
+        assert search.steps[1].undecided == (2, 2)
 
     def test_first_include_is_not_yet_a_tree(self, setup):
         _, _, search = setup
-        base = search.materialize(NodeInfo(), 1)
-        assert not search.is_one_sink(base, 1, 1)
-        assert not search.is_zero_sink(base, 1, 1)
-        assert not search.is_zero_sink(base, 1, 0)
+        assert not search.is_one_sink((), 1, 1)
+        assert not search.is_zero_sink((), 1, 1)
+        assert not search.is_zero_sink((), 1, 0)
 
     def test_direct_edge_completes_after_skip(self, setup):
         # skip e0, then include e2: both endpoints are terminals
         _, _, search = setup
-        s1 = search.generate(search.materialize(NodeInfo(), 1), 1, 0)
-        s2 = search.materialize(s1, 2)
-        assert search.is_one_sink(s2, 2, 1)
+        s1 = search.generate((), 1, 0)
+        assert search.is_one_sink(s1, 2, 1)
         # skipping e2 as well strands terminal 1 (its last edge end)
-        assert search.is_zero_sink(s2, 2, 0)
+        assert search.is_zero_sink(s1, 2, 0)
 
     def test_nonterminal_leaf_blocks_completion(self, setup):
         # include e0, then include e2: terminals connect but vertex 2
         # would be a degree-1 non-terminal, so this is not a 1-sink
         _, _, search = setup
-        s1 = search.generate(search.materialize(NodeInfo(), 1), 1, 1)
-        s2 = search.materialize(s1, 2)
-        assert s2.tcnt[s2.comp[1]] + s2.tcnt[s2.comp[3]] == 2
-        assert not search.is_one_sink(s2, 2, 1)
-        assert not search.is_zero_sink(s2, 2, 1)
+        s1 = search.generate((), 1, 1)
+        assert s1 == ((1, True, 1), (1, True, 1))
+        assert search.steps[2].all_seen  # terminal 3 enters at step 2
+        assert not search.is_one_sink(s1, 2, 1)
+        assert not search.is_zero_sink(s1, 2, 1)
 
     def test_sealed_partial_component_dies(self, setup):
         # after e0 and e2, excluding e1 seals a component that holds
         # both terminals but cannot shed its non-terminal leaf
         _, _, search = setup
-        s1 = search.generate(search.materialize(NodeInfo(), 1), 1, 1)
-        s2 = search.generate(search.materialize(s1, 2), 2, 1)
-        s3 = search.materialize(s2, 3)
-        assert search.is_zero_sink(s3, 3, 0)  # upe would drop to zero
-        assert search.is_zero_sink(s3, 3, 1)  # cycle
+        s2 = search.generate(search.generate((), 1, 1), 2, 1)
+        assert s2 == ((2, True, 1), (2, True, 1))
+        assert search.is_zero_sink(s2, 3, 0)  # no undecided edge-end left
+        assert search.is_zero_sink(s2, 3, 1)  # cycle
 
     def test_chain_completes_at_last_edge(self, setup):
         _, _, search = setup
-        s1 = search.generate(search.materialize(NodeInfo(), 1), 1, 1)
-        s2 = search.generate(search.materialize(s1, 2), 2, 0)
-        s3 = search.materialize(s2, 3)
-        assert search.is_one_sink(s3, 3, 1)
-        assert search.is_zero_sink(s3, 3, 0)
+        s2 = search.generate(search.generate((), 1, 1), 2, 0)
+        assert search.is_one_sink(s2, 3, 1)
+        assert search.is_zero_sink(s2, 3, 0)
 
     def test_constructed_structure(self, triangle):
         order = order_edges(triangle)
@@ -110,7 +130,6 @@ class TestTriangleTrace:
             frozenset({0, 1}),
             frozenset({2}),
         }
-        assert bdd.node_cost[bdd.root] == 0
 
 
 class TestSinkRules:
@@ -160,27 +179,51 @@ class TestSinkRules:
 
 class TestMerging:
     def test_merge_key_ignores_cost_and_exact_counts(self):
-        a = NodeInfo({3: 3, 5: 3}, {3: 1, 5: 1}, {3: 2}, {3: 4}, cost=9)
-        b = NodeInfo({3: 3, 5: 3}, {3: 1, 5: 1}, {3: 1}, {3: 4}, cost=2)
-        assert FrontierSearch.merge_key(a) == FrontierSearch.merge_key(b)
+        # 5-cycle, all but vertex 5 terminals; the arc (4,5) comes last.
+        # Both histories leave 4 and 5 in separate terminal-bearing
+        # components: 2 + 2 terminals at cost 15, or 3 + 1 at cost 13.
+        g = Graph(
+            5,
+            ((2, 4, 3), (4, 5, 6), (1, 2, 5), (1, 3, 7), (3, 5, 5)),
+            frozenset({1, 2, 3, 4}),
+        )
+        order = order_edges(g)
+        assert order.permutation == (2, 3, 0, 4, 1)
+        search = FrontierSearch(g, order)
+        a = walk_states(search, (0, 1, 1, 1))
+        b = walk_states(search, (1, 0, 1, 1))
+        assert a == b == ((4, True, 1), (5, True, 1))
 
     def test_merge_key_sees_partition(self):
-        joined = NodeInfo({3: 3, 5: 3}, {3: 1, 5: 1}, {3: 1}, {3: 4})
-        split = NodeInfo(
-            {3: 3, 5: 5}, {3: 1, 5: 1}, {3: 1, 5: 0}, {3: 2, 5: 2}
+        # 4-cycle ordered (1,2), (1,4), (2,3), (3,4); frontier {3, 4}
+        g = Graph(
+            4,
+            ((1, 4, 5), (1, 2, 3), (2, 3, 10), (3, 4, 8)),
+            frozenset({1, 2, 3}),
         )
-        assert FrontierSearch.merge_key(joined) != FrontierSearch.merge_key(
-            split
-        )
+        search = FrontierSearch(g, order_edges(g))
+        joined = walk_states(search, (1, 1, 1))
+        split = walk_states(search, (0, 1, 1))
+        assert joined == ((3, True, 1), (3, True, 1))
+        assert split == ((3, True, 1), (4, True, 1))
 
     def test_merge_key_sees_terminal_presence_and_degree(self):
-        base = NodeInfo({3: 3}, {3: 1}, {3: 1}, {3: 2})
-        no_term = NodeInfo({3: 3}, {3: 1}, {3: 0}, {3: 2})
-        deg2 = NodeInfo({3: 3}, {3: 2}, {3: 1}, {3: 2})
-        keys = {
-            FrontierSearch.merge_key(s) for s in (base, no_term, deg2)
-        }
-        assert len(keys) == 3
+        # ordered (2,3), (3,5), (2,4), (2,6), (1,5), ...; frontier {1, 4, 6}
+        g = Graph(
+            6,
+            (
+                (2, 6, 3), (2, 4, 1), (1, 6, 4), (2, 3, 3),
+                (3, 5, 1), (1, 5, 4), (1, 4, 7),
+            ),
+            frozenset({1, 3, 5}),
+        )
+        search = FrontierSearch(g, order_edges(g))
+        base = walk_states(search, (1, 0, 1, 1, 1))
+        no_term = walk_states(search, (0, 1, 1, 1, 1))
+        deg0 = walk_states(search, (1, 1, 1, 1, 0))
+        assert base == ((1, True, 1), (4, True, 1), (4, True, 1))
+        assert no_term == ((1, True, 1), (4, False, 1), (4, False, 1))
+        assert deg0 == ((1, True, 0), (4, True, 1), (4, True, 1))
 
     def test_merged_equals_unmerged_subsets(self):
         rng = random.Random(77)
@@ -193,24 +236,25 @@ class TestMerging:
             assert merged.node_count <= plain.node_count
 
     def test_merge_keeps_cheapest_cost(self):
-        # ordering the parallel pair first makes take-cheap and take-dear
-        # converge on one frontier state; the node must record cost 1
-        g = Graph(
-            4,
-            ((1, 2, 1), (1, 2, 9), (2, 3, 1), (3, 4, 1)),
-            frozenset({1, 4}),
-        )
+        # take-cheap and take-dear converge on one node, which must keep
+        # cost 1: with cost 9 the theta check would cut the only tree
+        g = merge_cost_graph()
         order = order_edges(g, start=1)
         assert order.permutation[:2] == (0, 1)
         merged = construct_bdd(g, order)
         assert len(merged.levels[3]) == 1
-        assert merged.node_cost[merged.levels[3][0]] == 1
         plain = construct_bdd(g, order, merge_nodes=False)
         assert len(plain.levels[3]) == 2
         assert decoded_subsets(merged) == decoded_subsets(plain) == {
             frozenset({0, 2, 3}),
             frozenset({1, 2, 3}),
         }
+        result = enumerate_trees(
+            reduce_bdd(construct_bdd(g, order, 10)), k=5, theta=10
+        )
+        assert [(t.cost, t.sorted_edges()) for t in result.trees] == [
+            (3, (0, 2, 3))
+        ]
 
 
 class TestCapacityAndValidation:
@@ -248,3 +292,62 @@ class TestCapacityAndValidation:
             nid, level, lo, hi = map(int, line.split())
             assert bdd.lo[nid] == lo and bdd.hi[nid] == hi
             assert bdd.level_of[nid] == level
+
+
+# name, graph, order start, theta, node count, sha256 of Bdd.dump()
+GOLDEN_DIAGRAMS = [
+    (
+        "triangle",
+        lambda: Graph(3, ((1, 2, 1), (2, 3, 1), (1, 3, 3)), frozenset({1, 3})),
+        None, None, 5,
+        "d16dceb3d331a32653150115d472a7c2dd56d8ea0859fbbe69452576db217ca7",
+    ),
+    (
+        "grid_2x20",
+        lambda: grid_graph(2, 20, [1, 40]),
+        None, None, 417,
+        "0bae1d9b232fa9aee348ee8c538c77dfa0f28c32404b73974dc2e680a4c5c473",
+    ),
+    (
+        "grid_4x4",
+        lambda: grid_graph(4, 4, [1, 4, 13, 16]),
+        None, None, 933,
+        "dec277b41d8afd370fbd9c76f524791f1d0387c022d309ff4b7d6657f0f3c289",
+    ),
+    (
+        "grid_4x8",
+        lambda: grid_graph(4, 8, [1, 8, 25, 32]),
+        None, None, 9833,
+        "10f9ae64fcf2ff75084eaf8c5b94eb52fd78178e09fc9f0b819df43befd10db3",
+    ),
+    (
+        "merge_cost_theta10",
+        merge_cost_graph,
+        1, 10, 5,
+        "7ca75641128bf70268c93d60fc016289031b54799858e4734a6f9a32ea480741",
+    ),
+    (
+        "random_2029_theta15",
+        lambda: random_connected_graph(
+            random.Random(2029), max_vertices=8, max_edges=14
+        ),
+        None, 15, 82,
+        "6050a5730d050be00e25b04bf05831ed1ef93c22e9470c29b7ddd9e191f4197e",
+    ),
+]
+
+
+class TestGoldenDiagrams:
+    """The constructed diagram is pinned byte for byte: node ids, arcs
+    and levels must not move under a change to the construction code."""
+
+    @pytest.mark.parametrize(
+        "make, start, theta, nodes, digest",
+        [case[1:] for case in GOLDEN_DIAGRAMS],
+        ids=[case[0] for case in GOLDEN_DIAGRAMS],
+    )
+    def test_dump_digest(self, make, start, theta, nodes, digest):
+        g = make()
+        bdd = construct_bdd(g, order_edges(g, start=start), theta)
+        assert bdd.node_count == nodes
+        assert hashlib.sha256(bdd.dump().encode()).hexdigest() == digest
