@@ -19,9 +19,13 @@ Tree output is JSON lines, one tree per line, ascending cost::
     {"cost": 7, "edges": [[1, 2], [2, 3]]}
 
 Costs are integers in the graph's scaled units (the scale is 1 unless
-the input had decimal weights).  Summaries go to stderr; data to stdout
-or --output.  Exit codes: 0 ok, 2 usage, 3 bad input, 4 no tree within
-theta, 5 node cap exceeded, 6 output truncated at the sink cap.
+the input had decimal weights).  ``enumerate`` writes the C cheapest
+trees within theta (``--cap C``, default K), or all of them when fewer
+exist.  ``build`` stops after reduction and traverses nothing.
+Summaries go to stderr; data to stdout or --output.  Exit codes: 0 ok,
+2 usage, 3 bad input, 4 no tree within theta, 5 node cap exceeded,
+6 more trees within theta than written (those written are exactly the
+cheapest).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from fractions import Fraction
 from .frontier import NodeCapExceeded, construct_bdd
 from .graph import Graph, GraphError, SteinerTree, order_edges, parse_stp, simplify, write_stp
 from .oracle import OracleError, brute_force_minimal_steiner
-from .pipeline import RunConfig, RunResult, resolve_theta, run
+from .pipeline import RunConfig, RunResult, build_diagram, resolve_theta, run
 from .seeds import SeedConfig, select_seeds
 from .traverse import count_trees, reduce_bdd, validate_tree
 
@@ -277,16 +281,16 @@ def _cmd_seeds(args) -> int:
 
 def _cmd_build(args) -> int:
     g = _load_graph(args.input)
-    cfg = _build_config(args, g)
-    res = run(g, cfg, want_dump=True)
+    d = build_diagram(g, _build_config(args, g))
+    dump = d.reduced.dump()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(res.bdd_dump)
+            fh.write(dump)
     else:
-        sys.stdout.write(res.bdd_dump)
+        sys.stdout.write(dump)
     print(
-        f"build: {res.bdd_nodes} nodes constructed, "
-        f"{res.bdd_nodes_reduced} after reduction",
+        f"build: {d.bdd.node_count} nodes constructed, "
+        f"{d.reduced.node_count} after reduction",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -310,7 +314,11 @@ def _cmd_enumerate(args) -> int:
         file=sys.stderr,
     )
     if res.truncated:
-        print("enumerate: sink cap reached, output truncated", file=sys.stderr)
+        print(
+            f"enumerate: more trees within theta={theta_text} than the "
+            f"{len(res.trees)} written; those written are the cheapest",
+            file=sys.stderr,
+        )
         return EXIT_TRUNCATED
     if not res.trees:
         print("enumerate: no tree within the cost bound", file=sys.stderr)
@@ -385,7 +393,12 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None)
         if name == "enumerate":
             p.add_argument("--k", type=int, default=1000)
-            p.add_argument("--cap", type=int, default=None)
+            p.add_argument(
+                "--cap",
+                type=int,
+                default=None,
+                help="write at most C cheapest trees (default k)",
+            )
             p.add_argument("--report", default=None, help="write a JSON run report")
             p.add_argument("--dump-bdd", default=None, help="also dump the diagram")
 

@@ -14,8 +14,16 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .frontier import DEFAULT_NODE_CAP, construct_bdd
-from .graph import Graph, GraphError, SteinerTree, expand_tree, order_edges, simplify
+from .frontier import DEFAULT_NODE_CAP, Bdd, construct_bdd
+from .graph import (
+    Graph,
+    GraphError,
+    SimplificationMap,
+    SteinerTree,
+    expand_tree,
+    order_edges,
+    simplify,
+)
 from .seeds import SeedConfig, select_seeds, tosp_tree, union_subgraph
 from .traverse import count_trees, enumerate_trees, reduce_bdd
 
@@ -29,9 +37,11 @@ class RunConfig:
     ratio multiplies the cheapest seed tree's cost (a throwaway
     shortest-path tree provides the reference when seeds are disabled).
     ``use_seeds``/``use_simplify`` toggle the two preprocessing stages;
-    exact mode is both off.  ``cap`` limits sink accumulation (default
-    10*k).  ``seed_trees`` optionally injects externally supplied trees
-    (original edge indices) instead of running the heuristic.
+    exact mode is both off.  ``cap`` (at least k, default k) is the most
+    trees written: the run writes the ``cap`` cheapest trees within
+    theta, or all of them when fewer exist.  ``seed_trees`` optionally
+    injects externally supplied trees (original edge indices) instead of
+    running the heuristic.
     """
 
     k: int = 1000
@@ -50,6 +60,8 @@ class RunConfig:
             raise ValueError("theta and theta_ratio are mutually exclusive")
         if self.k < 1:
             raise ValueError("k must be at least 1")
+        if self.cap is not None and self.cap < self.k:
+            raise ValueError("cap must be >= k")
 
 
 @dataclass(frozen=True)
@@ -102,12 +114,28 @@ def resolve_theta(
     return bound
 
 
-def run(g: Graph, cfg: RunConfig = RunConfig(), *, want_dump: bool = False) -> RunResult:
-    """Execute the full pipeline on a parsed graph."""
+@dataclass(frozen=True)
+class Diagram:
+    """Everything a run has before traversal: the reduced diagram, the
+    graph it was built on with the maps back to input edge indices, the
+    applied theta and the seed trees."""
+
+    bdd: Bdd  # as constructed
+    reduced: Bdd
+    graph: Graph  # preprocessed
+    edge_map: tuple[int, ...]  # preprocessed-graph edge -> input edge
+    smap: SimplificationMap | None
+    theta: int | None
+    seed_trees: tuple[SteinerTree, ...]
+    seeds_requested: int
+    timing_ms: dict[str, float]
+
+
+def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
+    """Preprocess g, then construct and reduce its diagram."""
     if len(g.terminals) < 2:
         raise GraphError("enumeration needs at least two terminals")
 
-    timing: dict[str, float] = {}
     seed_trees: tuple[SteinerTree, ...] = ()
     requested = 0
 
@@ -148,36 +176,51 @@ def run(g: Graph, cfg: RunConfig = RunConfig(), *, want_dump: bool = False) -> R
     t1 = time.perf_counter()
     reduced = reduce_bdd(bdd)
     t2 = time.perf_counter()
-    result = enumerate_trees(reduced, k=cfg.k, theta=theta, cap=cfg.cap)
-    t3 = time.perf_counter()
-    timing["construct"] = (t1 - t0) * 1000
-    timing["reduce"] = (t2 - t1) * 1000
-    timing["traverse"] = (t3 - t2) * 1000
+    return Diagram(
+        bdd=bdd,
+        reduced=reduced,
+        graph=simplified,
+        edge_map=edge_map,
+        smap=smap,
+        theta=theta,
+        seed_trees=seed_trees,
+        seeds_requested=requested,
+        timing_ms={"construct": (t1 - t0) * 1000, "reduce": (t2 - t1) * 1000},
+    )
+
+
+def run(g: Graph, cfg: RunConfig = RunConfig(), *, want_dump: bool = False) -> RunResult:
+    """Execute the full pipeline on a parsed graph."""
+    d = build_diagram(g, cfg)
+
+    t0 = time.perf_counter()
+    result = enumerate_trees(d.reduced, k=cfg.k, theta=d.theta, cap=cfg.cap)
+    timing = {**d.timing_ms, "traverse": (time.perf_counter() - t0) * 1000}
 
     trees = []
     for t in result.trees:
-        if smap is not None:
-            t = expand_tree(t, smap)
+        if d.smap is not None:
+            t = expand_tree(t, d.smap)
         trees.append(
-            SteinerTree(frozenset(edge_map[i] for i in t.edges), t.cost)
+            SteinerTree(frozenset(d.edge_map[i] for i in t.edges), t.cost)
         )
     trees.sort(key=lambda t: (t.cost, t.sorted_edges()))
 
     return RunResult(
         trees=tuple(trees),
-        theta=theta,
+        theta=d.theta,
         graph_vertices=g.vertex_count,
         graph_edges=len(g.edges),
         graph_terminals=len(g.terminals),
-        pre_vertices=_active_vertex_count(simplified),
-        pre_edges=len(simplified.edges),
-        bdd_nodes=bdd.node_count,
-        bdd_nodes_reduced=reduced.node_count,
-        tree_count_bound=count_trees(reduced),
+        pre_vertices=_active_vertex_count(d.graph),
+        pre_edges=len(d.graph.edges),
+        bdd_nodes=d.bdd.node_count,
+        bdd_nodes_reduced=d.reduced.node_count,
+        tree_count_bound=count_trees(d.reduced),
         peak_entries=result.peak_entries,
         truncated=result.truncated,
-        seed_trees=seed_trees,
-        seeds_requested=requested,
+        seed_trees=d.seed_trees,
+        seeds_requested=d.seeds_requested,
         timing_ms=timing,
-        bdd_dump=reduced.dump() if want_dump else None,
+        bdd_dump=d.reduced.dump() if want_dump else None,
     )

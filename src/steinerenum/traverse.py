@@ -1,13 +1,17 @@
 """Operations on the constructed diagram: pruning, counting, top-k search.
 
 Costs at diagram nodes are lower bounds (merging keeps the minimum), so
-the traversal here re-derives exact path costs and applies the theta
-filter precisely; anything the construction let through optimistically
-is discarded at the sink.
+the traversal re-derives exact path costs from the edge costs along
+each path.  It runs best-first with each node's exact cheapest
+completion as the heuristic (A*, Hart, Nilsson & Raphael 1968), so
+trees come out cheapest first and theta prunes exactly: every heap
+entry holds a tree at its key, and no entry over theta is ever pushed.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 from .frontier import Bdd, ZERO, ONE
@@ -19,12 +23,13 @@ class TraversalError(RuntimeError):
 
 
 class EntryBudgetExceeded(TraversalError):
-    def __init__(self, budget: int, level: int, live: int):
+    def __init__(self, budget: int, written: int, live: int):
         super().__init__(
-            f"live cost entries {live} exceed budget {budget} at level {level}"
+            f"live heap entries {live} exceed budget {budget} "
+            f"after {written} tree(s) written"
         )
         self.budget = budget
-        self.level = level
+        self.written = written
         self.live = live
 
 
@@ -112,16 +117,32 @@ def count_trees(bdd: Bdd) -> int:
 class EnumerationResult:
     """Output of the top-k traversal plus its instrumentation.
 
-    ``trees`` is ascending by cost.  ``peak_entries`` is the maximum
-    number of retained cost entries alive at once (two adjacent levels).
-    ``truncated`` flags that the sink cap dropped qualifying arrivals,
-    so trees beyond the cheapest ``cap`` are missing.
+    ``trees`` holds exactly the ``min(cap, T)`` cheapest trees, where T
+    is the number of trees within theta, ascending by
+    ``(cost, sorted_edges)``; among trees tied at the cut cost the
+    traversal's fixed push order decides which are kept.
+    ``peak_entries`` is the largest heap size reached.  ``truncated``
+    flags that at least one more tree within theta exists beyond those
+    written.  ``sink_arrivals`` is the number of trees popped.
     """
 
     trees: tuple[SteinerTree, ...]
     peak_entries: int
     truncated: bool
     sink_arrivals: int
+
+
+def _cheapest_completions(bdd: Bdd) -> list[float]:
+    """Cost of the cheapest path from each node to the 1-sink, in one
+    bottom-up pass: ``best[ONE] = 0``, ZERO (and every node that cannot
+    reach the 1-sink) is ``math.inf``."""
+    best = [math.inf] * len(bdd.lo)
+    best[ONE] = 0
+    for level in range(bdd.level_count, 0, -1):
+        edge_cost = bdd.edge_costs[level - 1]
+        for nid in bdd.levels[level]:
+            best[nid] = min(best[bdd.lo[nid]], best[bdd.hi[nid]] + edge_cost)
+    return best
 
 
 def enumerate_trees(
@@ -132,114 +153,73 @@ def enumerate_trees(
     cap: int | None = None,
     entry_budget: int | None = None,
 ) -> EnumerationResult:
-    """Collect the represented trees, guaranteeing the k cheapest.
+    """Write the cheapest trees within theta: at least the k cheapest
+    and at most ``cap`` of them (default k).
 
-    Level-synchronous sweep keeping at most k cost entries per node (the
-    k cheapest prefixes; any k-cheapest full path extends a k-cheapest
-    prefix, so the guarantee holds).  Entries over theta are dropped the
-    moment they arise.  The sink retains up to ``cap`` cheapest arrivals
-    (default 10*k).  Back-references live in an append-only arena sized
-    by retained entries, so released levels stay decodable.
-
-    Ties are ordered by (cost, source node id, source entry index, arc
-    bit), which makes the outcome independent of hash ordering.
+    Best-first search over root-to-1-sink paths.  A heap entry stands
+    for every path that starts with a fixed prefix ending at a node; its
+    key ``f`` is the prefix cost plus the node's exact cheapest
+    completion, which is the cost of the cheapest path in the entry.
+    Each pop follows that cheapest completion down to the 1-sink,
+    writing one tree, and pushes every sibling arc left behind on the
+    way when its own ``f`` is within theta.  The entries partition the
+    remaining paths, so trees come out in ascending cost and theta
+    prunes exactly.  Equal keys pop in push order, which makes the
+    outcome independent of hash ordering.  ``entry_budget`` bounds the
+    heap size.
     """
     if k < 1:
         raise TraversalError("k must be at least 1")
     if cap is None:
-        cap = 10 * k
+        cap = k
     if cap < k:
         raise TraversalError("cap must be >= k")
 
-    empty = EnumerationResult((), 0, False, 0)
-    if bdd.root == ZERO:
-        return empty
+    best = _cheapest_completions(bdd)
+    # no path costs more than all edges together, and inf exceeds that
+    limit = sum(bdd.edge_costs)
+    if theta is not None:
+        limit = min(limit, theta)
+    if bdd.root == ZERO or best[bdd.root] > limit:
+        return EnumerationResult((), 0, False, 0)
 
-    # arena of back-references: parallel arrays (bit, parent slot)
-    arena_bit: list[int] = []
-    arena_parent: list[int] = []
-
-    def alloc(bit: int, parent_slot: int) -> int:
-        arena_bit.append(bit)
-        arena_parent.append(parent_slot)
-        return len(arena_bit) - 1
-
-    # retained entry: (cost, slot); candidates carry their tie key
-    current: dict[int, list[tuple[int, int]]] = {bdd.root: [(0, -1)]}
-    sink: list[tuple[int, int, int, int, int]] = []  # cost, src, idx, bit, slot
-    sink_truncated = False
-    sink_arrivals = 0
+    # entry: (f, push counter, node, path); a path is a cons cell
+    # (edge index, parent) per included edge, shared between entries
+    heap: list[tuple] = [(best[bdd.root], 0, bdd.root, None)]
+    pushes = 1
     peak = 1
-    prune_limit = max(4 * k, 256)
-    sink_prune_limit = max(2 * cap, 256)
+    trees: list[SteinerTree] = []
+    while heap and len(trees) < cap:
+        f, _, nid, path = heapq.heappop(heap)
+        prefix = f - best[nid]
+        while nid != ONE:
+            level = bdd.level_of[nid]
+            edge_cost = bdd.edge_costs[level - 1]
+            lo, hi = bdd.lo[nid], bdd.hi[nid]
+            lo_f = prefix + best[lo]
+            hi_f = prefix + edge_cost + best[hi]
+            included = (bdd.edge_order[level - 1], path)
+            if lo_f <= hi_f:
+                if hi_f <= limit:
+                    heapq.heappush(heap, (hi_f, pushes, hi, included))
+                    pushes += 1
+                nid = lo
+            else:
+                if lo_f <= limit:
+                    heapq.heappush(heap, (lo_f, pushes, lo, path))
+                    pushes += 1
+                nid, prefix, path = hi, prefix + edge_cost, included
+        edges = []
+        while path is not None:
+            edges.append(path[0])
+            path = path[1]
+        trees.append(SteinerTree(frozenset(edges), f))
+        peak = max(peak, len(heap))
+        if entry_budget is not None and len(heap) > entry_budget:
+            raise EntryBudgetExceeded(entry_budget, len(trees), len(heap))
 
-    for level in range(1, bdd.level_count + 1):
-        edge_cost = bdd.edge_costs[level - 1]
-        gathering: dict[int, list[tuple[int, int, int, int, int]]] = {}
-        for nid in bdd.levels[level]:
-            entries = current.get(nid)
-            if not entries:
-                continue
-            for bit, tgt, extra in ((0, bdd.lo[nid], 0), (1, bdd.hi[nid], edge_cost)):
-                if tgt == ZERO:
-                    continue
-                batch = []
-                for idx, (cost, slot) in enumerate(entries):
-                    nc = cost + extra
-                    if theta is not None and nc > theta:
-                        break  # entries are cost-sorted; the rest only grow
-                    batch.append((nc, nid, idx, bit, slot))
-                if not batch:
-                    continue
-                if tgt == ONE:
-                    sink_arrivals += len(batch)
-                    sink.extend(batch)
-                    if len(sink) > sink_prune_limit:
-                        sink.sort()
-                        del sink[cap:]
-                        sink_truncated = True
-                else:
-                    bucket = gathering.setdefault(tgt, [])
-                    bucket.extend(batch)
-                    if len(bucket) > prune_limit:
-                        bucket.sort()
-                        del bucket[k:]
-
-        nxt: dict[int, list[tuple[int, int]]] = {}
-        for tgt, bucket in gathering.items():
-            bucket.sort()
-            retained = []
-            for nc, src, idx, bit, slot in bucket[:k]:
-                retained.append((nc, alloc(bit, slot)))
-            nxt[tgt] = retained
-
-        live = sum(len(v) for v in current.values()) + sum(
-            len(v) for v in nxt.values()
-        )
-        peak = max(peak, live)
-        if entry_budget is not None and live > entry_budget:
-            raise EntryBudgetExceeded(entry_budget, level, live)
-        current = nxt
-
-    sink.sort()
-    if len(sink) > cap:
-        del sink[cap:]
-        sink_truncated = True
-
-    trees = []
-    for cost, src, idx, bit, slot in sink:
-        bits: list[int] = [bit]
-        s = slot
-        while s >= 0:
-            bits.append(arena_bit[s])
-            s = arena_parent[s]
-        bits.reverse()
-        chosen = frozenset(
-            bdd.edge_order[depth] for depth, b in enumerate(bits) if b
-        )
-        trees.append(SteinerTree(chosen, cost))
     trees.sort(key=lambda t: (t.cost, t.sorted_edges()))
-    return EnumerationResult(tuple(trees), peak, sink_truncated, sink_arrivals)
+    return EnumerationResult(tuple(trees), peak, bool(heap), len(trees))
 
 
 def validate_tree(tree: SteinerTree, g: Graph) -> bool:

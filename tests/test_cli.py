@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from steinerenum import cli, parse_stp
+from steinerenum import cli, parse_stp, pipeline
 from .conftest import TRIANGLE_STP
 
 CLI = [sys.executable, "-m", "steinerenum"]
@@ -126,6 +126,11 @@ class TestExitCodes:
         assert proc.returncode == 6
         assert len(proc.stdout.splitlines()) == 1
 
+    def test_cap_below_k_is_3(self, tri_path):
+        proc = run_cli("enumerate", "--input", tri_path, "--k", "5", "--cap", "2")
+        assert proc.returncode == 3
+        assert "cap must be >= k" in proc.stderr
+
     def test_usage_error_is_2(self, tri_path):
         proc = run_cli(
             "enumerate", "--input", tri_path, "--theta", "3",
@@ -183,6 +188,19 @@ class TestOtherSubcommands:
         count, levels = map(int, lines[0].split()[1:])
         assert levels == 3
         assert len(lines) == count + 1
+
+    def test_build_does_not_traverse(self, tri_path, tmp_path, monkeypatch, capsys):
+        flags = ["--input", tri_path, "--theta", "inf", "--exact"]
+        dump = tmp_path / "dump.txt"
+        assert cli.main(["enumerate", *flags, "--dump-bdd", str(dump)]) == 0
+        capsys.readouterr()
+
+        def no_traversal(*args, **kwargs):
+            raise AssertionError("build traversed the diagram")
+
+        monkeypatch.setattr(pipeline, "enumerate_trees", no_traversal)
+        assert cli.main(["build", *flags]) == 0
+        assert capsys.readouterr().out == dump.read_text()
 
     def test_oracle_theta(self, tri_path):
         proc = run_cli("oracle", "--input", tri_path, "--theta", "2")

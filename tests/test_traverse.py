@@ -136,12 +136,40 @@ class TestEnumerate:
         assert len(res.trees) == 1
         assert res.trees[0].cost == 2
 
-    def test_default_cap_is_ten_k(self, triangle):
+    def test_default_cap_is_k(self, triangle):
         red = reduce_bdd(build(triangle))
         res = enumerate_trees(red, k=1)
-        # 2 trees, cap 10: nothing dropped
-        assert not res.truncated
-        assert len(res.trees) == 2
+        # 2 trees, cap 1: the cost-3 tree is left out
+        assert [(t.cost, t.sorted_edges()) for t in res.trees] == [(2, (0, 1))]
+        assert res.truncated
+
+    def test_writes_exactly_the_cheapest_within_theta(self):
+        rng = random.Random(13)
+        bad = []
+        for case in range(300):
+            g = random_connected_graph(rng)
+            costs = [t.cost for t in brute_force_minimal_steiner(g)]
+            for theta in (None, 5, 15):
+                within = [c for c in costs if theta is None or c <= theta]
+                red = reduce_bdd(build(g, theta))
+                for k in (1, 2, 3):
+                    for cap in (k, 10):
+                        res = enumerate_trees(red, k=k, theta=theta, cap=cap)
+                        if (
+                            [t.cost for t in res.trees] != within[:cap]
+                            or res.truncated != (len(within) > cap)
+                        ):
+                            bad.append((case, theta, k, cap))
+        assert bad == []
+
+    def test_cap_beyond_k_is_still_cheapest_first(self):
+        # the second cost-28 tree needs a node's second-cheapest prefix
+        g = grid_graph(3, 4, [1, 4, 9, 12])
+        res = enumerate_trees(reduce_bdd(build(g)), k=1, cap=10)
+        want = [t.cost for t in brute_force_minimal_steiner(g)]
+        assert want[:3] == [27, 28, 28]
+        assert [t.cost for t in res.trees] == want[:10]
+        assert res.truncated
 
     def test_peak_entries_bounded(self):
         rng = random.Random(7)
@@ -158,8 +186,11 @@ class TestEnumerate:
     def test_entry_budget(self):
         g = grid_graph(2, 8, [1, 16])
         red = reduce_bdd(build(g))
-        with pytest.raises(EntryBudgetExceeded):
+        with pytest.raises(EntryBudgetExceeded) as info:
             enumerate_trees(red, k=1000, entry_budget=3)
+        assert info.value.budget == 3
+        assert info.value.live > 3
+        assert info.value.written == 1
 
     def test_bad_arguments(self, triangle):
         red = reduce_bdd(build(triangle))
