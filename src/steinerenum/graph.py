@@ -148,12 +148,14 @@ def parse_stp(text: str) -> Graph:
     other sections (skipped), and a closing ``EOF``.  Keywords are
     case-insensitive.  Decimal weights are scaled to integers by the
     least common denominator; the factor lands in ``Graph.cost_scale``.
+    Each distinct weight token is read as a ``Fraction`` once.
     """
     lines = text.splitlines()
     n_vertices: int | None = None
     n_edges_decl: int | None = None
     n_terms_decl: int | None = None
-    raw_edges: list[tuple[int, int, Fraction, int]] = []  # u, v, w, line
+    raw_edges: list[tuple[int, int, int, int, int]] = []  # u, v, num, den, line
+    weights: dict[str, tuple[int, int]] = {}  # token -> reduced (num, den)
     terminals: list[int] = []
     section: str | None = None
     saw_graph = False
@@ -201,14 +203,18 @@ def parse_stp(text: str) -> Graph:
             elif head == "e":
                 if len(tokens) != 4:
                     bad("E line needs: E <u> <v> <weight>", ln)
+                w = weights.get(tokens[3])
                 try:
                     u, v = int(tokens[1]), int(tokens[2])
-                    w = Fraction(tokens[3])
+                    if w is None:
+                        f = Fraction(tokens[3])
                 except ValueError:
                     bad("E line has a non-numeric field", ln)
-                if w < 0:
-                    bad(f"negative weight {tokens[3]}", ln)
-                raw_edges.append((u, v, w, ln))
+                if w is None:
+                    if f < 0:
+                        bad(f"negative weight {tokens[3]}", ln)
+                    w = weights[tokens[3]] = (f.numerator, f.denominator)
+                raw_edges.append((u, v, w[0], w[1], ln))
             else:
                 bad(f"unknown keyword {tokens[0]!r} in Graph section", ln)
         elif section == "terminals":
@@ -241,14 +247,12 @@ def parse_stp(text: str) -> Graph:
             f"Terminals declares {n_terms_decl} but {len(terminals)} T lines found"
         )
 
-    scale = 1
-    for _, _, w, _ in raw_edges:
-        scale = scale * w.denominator // math.gcd(scale, w.denominator)
+    scale = math.lcm(1, *(den for _, den in weights.values()))
     edges = []
-    for u, v, w, ln in raw_edges:
+    for u, v, num, den, ln in raw_edges:
         if not (1 <= u <= n_vertices and 1 <= v <= n_vertices):
             bad(f"edge endpoint out of range 1..{n_vertices}", ln)
-        edges.append((u, v, int(w * scale)))
+        edges.append((u, v, num * scale // den))
     for t in terminals:
         if not 1 <= t <= n_vertices:
             raise ParseError(f"terminal {t} out of range 1..{n_vertices}")
@@ -387,58 +391,84 @@ def simplify(g: Graph) -> tuple[Graph, SimplificationMap]:
     they stand for different original paths.  The transformation is
     lossless: minimal Steiner trees correspond one-to-one through
     ``expand_tree`` with equal cost.
+
+    One worklist of degree-2 non-terminals runs over a live incidence
+    map, in time linear in the edge count.  A chain record keeps its two
+    endpoints, its cost and its two end edges; each original edge links
+    to its neighbours in the chain, so joining two chains at a vertex is
+    O(1) and reverses nothing.  A join that closes a loop drops the loop
+    and re-queues the anchor vertex, which has lost two edge-ends.  Each
+    surviving chain is walked once at the end, from its smaller
+    endpoint; the simplified edges are listed by the smallest original
+    index in their chain.
     """
-    # records: [u, v, cost, chain oriented u -> v]
-    recs: list[list] = [[u, v, w, [i]] for i, (u, v, w) in enumerate(g.edges)]
-    alive = [True] * len(recs)
+    terminals = g.terminals
+    # record id -> [u, v, cost, end edge at u, end edge at v]; a record
+    # starts as one input edge and keeps that edge's index as its id
+    recs: dict[int, list[int]] = {}
+    incident: dict[int, set[int]] = {}  # vertex -> ids of live records at it
+    links = [-1] * (2 * len(g.edges))  # slots 2i, 2i+1: chain neighbours of edge i
     removed_loops: list[int] = []
+    for i, (u, v, w) in enumerate(g.edges):
+        if u == v:
+            removed_loops.append(i)
+            continue
+        recs[i] = [u, v, w, i, i]
+        incident.setdefault(u, set()).add(i)
+        incident.setdefault(v, set()).add(i)
 
-    changed = True
-    while changed:
-        changed = False
-        for ri, rec in enumerate(recs):
-            if alive[ri] and rec[0] == rec[1]:
-                alive[ri] = False
-                removed_loops.extend(rec[3])
-                changed = True
-        incidence: dict[int, list[int]] = {}
-        for ri, rec in enumerate(recs):
-            if alive[ri]:
-                incidence.setdefault(rec[0], []).append(ri)
-                incidence.setdefault(rec[1], []).append(ri)
-        for v in sorted(incidence):
-            if v in g.terminals:
-                continue
-            inc = incidence[v]
-            if len(inc) != 2 or inc[0] == inc[1]:
-                continue
-            ra, rb = recs[inc[0]], recs[inc[1]]
-            # orient ra as (a -> v), rb as (v -> b)
-            a_chain = ra[3] if ra[1] == v else list(reversed(ra[3]))
-            a_end = ra[0] if ra[1] == v else ra[1]
-            b_chain = rb[3] if rb[0] == v else list(reversed(rb[3]))
-            b_end = rb[1] if rb[0] == v else rb[0]
-            alive[inc[0]] = alive[inc[1]] = False
-            recs.append([a_end, b_end, ra[2] + rb[2], a_chain + b_chain])
-            alive.append(True)
-            changed = True
-            break  # incidence is stale now; rescan
+    work = [v for v, inc in incident.items() if len(inc) == 2 and v not in terminals]
+    while work:
+        v = work.pop()
+        if len(incident[v]) != 2:  # a loop closed at v since it was queued
+            continue
+        ra, rb = incident.pop(v)
+        a, b = recs[ra], recs.pop(rb)
+        # read a as x -> v and b as v -> y; ea and eb are the edges at v
+        x, ex, ea = (a[0], a[3], a[4]) if a[1] == v else (a[1], a[4], a[3])
+        y, ey, eb = (b[1], b[4], b[3]) if b[0] == v else (b[0], b[3], b[4])
+        # each edge fills its first free neighbour slot
+        links[2 * ea + (links[2 * ea] >= 0)] = eb
+        links[2 * eb + (links[2 * eb] >= 0)] = ea
+        inc_y = incident[y]
+        inc_y.discard(rb)
+        if x == y:
+            inc_y.discard(ra)
+            del recs[ra]
+            removed_loops.extend(_chain(links, ex))
+            if len(inc_y) == 2 and x not in terminals:
+                work.append(x)
+        else:
+            inc_y.add(ra)
+            recs[ra] = [x, y, a[2] + b[2], ex, ey]
 
-    final = [recs[ri] for ri in range(len(recs)) if alive[ri]]
-    for rec in final:
-        if rec[0] > rec[1]:  # canonical orientation: small endpoint first
-            rec[0], rec[1] = rec[1], rec[0]
-            rec[3] = list(reversed(rec[3]))
+    final = []
+    for u, v, w, eu, ev in recs.values():
+        if u > v:  # canonical orientation: small endpoint first
+            u, v, eu = v, u, ev
+        final.append((u, v, w, _chain(links, eu)))
     final.sort(key=lambda rec: min(rec[3]))
-    new_edges = tuple((rec[0], rec[1], rec[2]) for rec in final)
-    replacements = tuple(tuple(rec[3]) for rec in final)
     simplified = Graph(
         vertex_count=g.vertex_count,
-        edges=new_edges,
-        terminals=g.terminals,
+        edges=tuple((u, v, w) for u, v, w, _ in final),
+        terminals=terminals,
         cost_scale=g.cost_scale,
     )
+    replacements = tuple(tuple(chain) for *_, chain in final)
     return simplified, SimplificationMap(replacements, tuple(sorted(removed_loops)))
+
+
+def _chain(links: list[int], start: int) -> list[int]:
+    """Original edges of the chain whose end edge is start, in path order."""
+    chain = [start]
+    prev, cur = -1, start
+    while True:
+        first = links[2 * cur]
+        nxt = links[2 * cur + 1] if first == prev else first
+        if nxt < 0:
+            return chain
+        chain.append(nxt)
+        prev, cur = cur, nxt
 
 
 def expand_tree(tree: SteinerTree, smap: SimplificationMap) -> SteinerTree:

@@ -25,7 +25,7 @@ from .graph import (
     simplify,
 )
 from .seeds import SeedConfig, select_seeds, tosp_tree, union_subgraph
-from .traverse import count_trees, enumerate_trees, reduce_bdd
+from .traverse import enumerate_trees, reduce_bdd
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,6 @@ class RunResult:
     pre_edges: int
     bdd_nodes: int
     bdd_nodes_reduced: int
-    tree_count_bound: int  # path count of the reduced diagram
     peak_entries: int
     truncated: bool
     seed_trees: tuple[SteinerTree, ...]
@@ -216,7 +215,6 @@ def run(g: Graph, cfg: RunConfig = RunConfig(), *, want_dump: bool = False) -> R
         pre_edges=len(d.graph.edges),
         bdd_nodes=d.bdd.node_count,
         bdd_nodes_reduced=d.reduced.node_count,
-        tree_count_bound=count_trees(d.reduced),
         peak_entries=result.peak_entries,
         truncated=result.truncated,
         seed_trees=d.seed_trees,

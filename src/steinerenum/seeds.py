@@ -72,6 +72,8 @@ def _dijkstra(g: Graph, root: int, banned: frozenset[int]):
     is reproducible bit for bit.
     """
     inf = math.inf
+    edges, adjacency = g.edges, g.adjacency
+    heappop, heappush = heapq.heappop, heapq.heappush
     dist: list[float] = [inf] * (g.vertex_count + 1)
     pred_edge: list[int] = [-1] * (g.vertex_count + 1)
     pred_vertex: list[int] = [0] * (g.vertex_count + 1)
@@ -79,22 +81,23 @@ def _dijkstra(g: Graph, root: int, banned: frozenset[int]):
     done = [False] * (g.vertex_count + 1)
     heap: list[tuple[float, int]] = [(0, root)]
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = heappop(heap)
         if done[u]:
             continue
         done[u] = True
-        for idx in g.adjacency[u]:
+        for idx in adjacency[u]:
             if idx in banned:
                 continue
-            w = g.other_end(idx, u)
+            a, b, cost = edges[idx]
+            w = b if a == u else a
             if done[w]:
                 continue
-            nd = d + g.edges[idx][2]
+            nd = d + cost
             if nd < dist[w]:
                 dist[w] = nd
                 pred_vertex[w] = u
                 pred_edge[w] = idx
-                heapq.heappush(heap, (nd, w))
+                heappush(heap, (nd, w))
             elif nd == dist[w] and (u, idx) < (pred_vertex[w], pred_edge[w]):
                 pred_vertex[w] = u
                 pred_edge[w] = idx
@@ -150,15 +153,17 @@ def tosp_tree(
 
 
 def _terminals_connected(g: Graph, banned: set[int]) -> bool:
+    edges, adjacency = g.edges, g.adjacency
     terms = sorted(g.terminals)
     seen = {terms[0]}
     stack = [terms[0]]
     while stack:
         u = stack.pop()
-        for idx in g.adjacency[u]:
+        for idx in adjacency[u]:
             if idx in banned:
                 continue
-            w = g.other_end(idx, u)
+            a, b, _ = edges[idx]
+            w = b if a == u else a
             if w not in seen:
                 seen.add(w)
                 stack.append(w)

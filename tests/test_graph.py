@@ -1,6 +1,9 @@
 """Instance model, STP parsing, edge ordering, lossless simplification."""
 
+import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from steinerenum import (
     Graph,
     GraphError,
     ParseError,
+    SimplificationMap,
     SteinerTree,
     expand_tree,
     order_edges,
@@ -16,7 +20,7 @@ from steinerenum import (
     simplify,
     write_stp,
 )
-from .conftest import TRIANGLE_STP, random_connected_graph
+from .conftest import TRIANGLE_STP, random_connected_graph, subdivide_edge
 
 
 def graphs(max_vertices=8, max_edges=12):
@@ -132,6 +136,61 @@ class TestParse:
         g = Graph(2, ((1, 2, 3),), frozenset({1, 2}), cost_scale=2)
         assert "E 1 2 3/2" in write_stp(g)
         assert parse_stp(write_stp(g)).edges == ((1, 2, 3),)
+
+
+    def test_repeated_weight_tokens_match_per_edge_fractions(self):
+        tokens = ["2.50", ".5", "4.", "1/3", "1e1", "0", "0.125"]
+        lines = [f"E 1 2 {tok}" for tok in tokens * 3]
+        text = (
+            f"SECTION Graph\nNodes 2\nEdges {len(lines)}\n"
+            + "\n".join(lines)
+            + "\nEND\nSECTION Terminals\nT 1\nT 2\nEND\nEOF\n"
+        )
+        g = parse_stp(text)
+        fractions = [Fraction(tok) for tok in tokens * 3]
+        scale = 1
+        for f in fractions:
+            scale = scale * f.denominator // math.gcd(scale, f.denominator)
+        assert g.cost_scale == scale == 24
+        assert g.edges == tuple((1, 2, int(f * scale)) for f in fractions)
+        assert [w for _, _, w in g.edges[:7]] == [60, 12, 96, 8, 240, 0, 3]
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("-1", "negative weight -1"),
+            ("1.2.3", "non-numeric"),
+            ("x", "non-numeric"),
+            ("\u00b2", "non-numeric"),  # superscript two: a digit, not a decimal
+        ],
+    )
+    def test_bad_weight_reports_its_line(self, token, message):
+        text = (
+            "SECTION Graph\nNodes 2\nE 1 2 3\nE 1 2 3\n"
+            f"E 1 2 {token}\nEND\nEOF\n"
+        )
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_stp(text)
+        assert exc.value.line == 5
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("E 1 y 0.5", "non-numeric"),
+            ("E 1 9 0.5", "out of range"),
+            ("E 1 2 0.5 7", "E line needs"),
+        ],
+    )
+    def test_bad_line_with_cached_token_reports_the_bad_line(
+        self, bad_line, message
+    ):
+        text = (
+            "SECTION Graph\nNodes 2\nE 1 2 0.5\nE 2 1 0.5\n"
+            f"{bad_line}\nE 1 2 0.5\nEND\nEOF\n"
+        )
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_stp(text)
+        assert exc.value.line == 5
 
 
 class TestOrderEdges:
@@ -262,3 +321,158 @@ class TestSimplify:
         _, smap = simplify(g)
         with pytest.raises(GraphError):
             expand_tree(SteinerTree(frozenset({5}), 1), smap)
+
+
+def fixpoint_simplify(g: Graph) -> tuple[Graph, SimplificationMap]:
+    """Reference: the rescan-to-fixpoint simplification that the worklist
+    in ``simplify`` replaced, kept verbatim for differential testing.
+    Quadratic in the edge count; use it on small graphs only."""
+    # records: [u, v, cost, chain oriented u -> v]
+    recs: list[list] = [[u, v, w, [i]] for i, (u, v, w) in enumerate(g.edges)]
+    alive = [True] * len(recs)
+    removed_loops: list[int] = []
+
+    changed = True
+    while changed:
+        changed = False
+        for ri, rec in enumerate(recs):
+            if alive[ri] and rec[0] == rec[1]:
+                alive[ri] = False
+                removed_loops.extend(rec[3])
+                changed = True
+        incidence: dict[int, list[int]] = {}
+        for ri, rec in enumerate(recs):
+            if alive[ri]:
+                incidence.setdefault(rec[0], []).append(ri)
+                incidence.setdefault(rec[1], []).append(ri)
+        for v in sorted(incidence):
+            if v in g.terminals:
+                continue
+            inc = incidence[v]
+            if len(inc) != 2 or inc[0] == inc[1]:
+                continue
+            ra, rb = recs[inc[0]], recs[inc[1]]
+            # orient ra as (a -> v), rb as (v -> b)
+            a_chain = ra[3] if ra[1] == v else list(reversed(ra[3]))
+            a_end = ra[0] if ra[1] == v else ra[1]
+            b_chain = rb[3] if rb[0] == v else list(reversed(rb[3]))
+            b_end = rb[1] if rb[0] == v else rb[0]
+            alive[inc[0]] = alive[inc[1]] = False
+            recs.append([a_end, b_end, ra[2] + rb[2], a_chain + b_chain])
+            alive.append(True)
+            changed = True
+            break  # incidence is stale now; rescan
+
+    final = [recs[ri] for ri in range(len(recs)) if alive[ri]]
+    for rec in final:
+        if rec[0] > rec[1]:  # canonical orientation: small endpoint first
+            rec[0], rec[1] = rec[1], rec[0]
+            rec[3] = list(reversed(rec[3]))
+    final.sort(key=lambda rec: min(rec[3]))
+    new_edges = tuple((rec[0], rec[1], rec[2]) for rec in final)
+    replacements = tuple(tuple(rec[3]) for rec in final)
+    simplified = Graph(
+        vertex_count=g.vertex_count,
+        edges=new_edges,
+        terminals=g.terminals,
+        cost_scale=g.cost_scale,
+    )
+    return simplified, SimplificationMap(replacements, tuple(sorted(removed_loops)))
+
+
+def chain_graph(n: int, rng: random.Random | None = None) -> Graph:
+    """Path 1-2-...-n with terminals at both ends.  With rng the edges
+    are listed in shuffled order, so path order differs from index order."""
+    edges = [(i, i + 1, i % 7 + 1) for i in range(1, n)]
+    if rng is not None:
+        rng.shuffle(edges)
+    return Graph(n, tuple(edges), frozenset({1, n}))
+
+
+def messy_multigraph(rng: random.Random) -> Graph:
+    """A random connected graph with subdivided edges, then parallel
+    edges, self-loops and pendant cycles injected, edges shuffled."""
+    g = random_connected_graph(rng, rng.randint(2, 12), rng.randint(1, 20))
+    for _ in range(rng.randint(0, 4)):
+        g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+    edges, n = list(g.edges), g.vertex_count
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.randrange(3)
+        if kind == 0:  # parallel edge
+            u, v, _ = rng.choice(edges)
+            edges.append((u, v, rng.randint(0, 9)))
+        elif kind == 1:  # self-loop
+            z = rng.randint(1, n)
+            edges.append((z, z, rng.randint(0, 9)))
+        else:  # pendant cycle through fresh vertices
+            z = prev = rng.randint(1, n)
+            for _ in range(rng.randint(1, 4)):
+                n += 1
+                edges.append((prev, n, rng.randint(0, 9)))
+                prev = n
+            edges.append((prev, z, rng.randint(0, 9)))
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges), g.terminals)
+
+
+class TestSimplifyWorklist:
+    def test_matches_fixpoint_reference(self):
+        rng = random.Random(2024)
+        contracted = looped = 0
+        for _ in range(1500):
+            g = messy_multigraph(rng)
+            s, smap = simplify(g)
+            ref, ref_map = fixpoint_simplify(g)
+            assert s.edges == ref.edges
+            assert smap.replacements == ref_map.replacements
+            assert smap.removed_loops == ref_map.removed_loops
+            contracted += any(len(c) > 1 for c in smap.replacements)
+            looped += bool(smap.removed_loops)
+        # the generator must exercise both chain joins and loop removal
+        assert contracted > 1000 and looped > 500
+
+    def test_loop_removal_cascades_into_contraction(self):
+        # path 1-2-3, terminals 1 and 3, pendant cycle 2-4-5-2: the cycle
+        # becomes a loop at 2 and is removed, then 2 has degree 2
+        g = Graph(
+            5,
+            ((1, 2, 1), (2, 3, 2), (2, 4, 3), (4, 5, 4), (5, 2, 5)),
+            frozenset({1, 3}),
+        )
+        s, smap = simplify(g)
+        assert s.edges == ((1, 3, 3),)
+        assert smap.replacements == ((0, 1),)
+        assert smap.removed_loops == (2, 3, 4)
+        ref, ref_map = fixpoint_simplify(g)
+        assert (s.edges, smap) == (ref.edges, ref_map)
+
+    def test_linear_time_on_chains(self):
+        timings = {}
+        for n in (1000, 8000):
+            g = chain_graph(n)
+            best = math.inf
+            for _ in range(3):
+                t0 = time.perf_counter()
+                simplify(g)
+                best = min(best, time.perf_counter() - t0)
+            timings[n] = max(best, 1e-5)
+        ratio = timings[8000] / timings[1000]
+        assert ratio < 30, (
+            f"8k/1k chain simplify time ratio {ratio:.1f} (linear reads about 8)"
+        )
+
+    def test_long_chain_contracts_in_path_order(self):
+        n = 64000
+        g = chain_graph(n, random.Random(64))
+        s, smap = simplify(g)
+        assert s.edges == ((1, n, g.tree_cost(range(n - 1))),)
+        chain = smap.replacements[0]
+        assert sorted(chain) == list(range(n - 1))
+        # consecutive chain edges share a vertex, walking from 1 to n
+        at = 1
+        for idx in chain:
+            u, v, _ = g.edges[idx]
+            assert at in (u, v)
+            at = v if u == at else u
+        assert at == n
+        assert smap.removed_loops == ()
