@@ -178,8 +178,9 @@ def _load_seed_file(path: str, g: Graph) -> tuple[frozenset[int], ...]:
     """Read externally supplied trees: JSONL of {"edges": [[u, v], ...]}.
 
     Endpoint pairs resolve to the smallest matching edge index; for
-    parallel edges supply the intended index via {"edge_indices": [...]}.
-    Every tree must be a minimal Steiner tree of ``g``.
+    parallel edges supply the intended integer indices via
+    {"edge_indices": [...]}.  Every tree must be a minimal Steiner tree
+    of ``g``; a malformed record raises GraphError naming its line.
     """
     lookup: dict[tuple[int, int], int] = {}
     for idx, (u, v, _) in enumerate(g.edges):
@@ -191,22 +192,45 @@ def _load_seed_file(path: str, g: Graph) -> tuple[frozenset[int], ...]:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            where = f"{path}:{ln}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise GraphError(f"{where}: invalid JSON: {exc.msg}") from None
+            if not isinstance(rec, dict) or not isinstance(
+                rec.get("edge_indices", rec.get("edges")), list
+            ):
+                raise GraphError(
+                    f'{where}: expected an object with an "edges" or '
+                    f'"edge_indices" list'
+                )
+            idxs = []
             if "edge_indices" in rec:
-                idxs = [int(i) for i in rec["edge_indices"]]
-                for i in idxs:
+                for i in rec["edge_indices"]:
+                    if type(i) is not int:  # not a float, string or bool
+                        raise GraphError(
+                            f"{where}: edge index {json.dumps(i)} is not an integer"
+                        )
                     if not 0 <= i < len(g.edges):
-                        raise GraphError(f"{path}:{ln}: edge index {i} out of range")
+                        raise GraphError(f"{where}: edge index {i} out of range")
+                    idxs.append(i)
             else:
-                idxs = []
-                for u, v in rec["edges"]:
+                for pair in rec["edges"]:
+                    if not (
+                        isinstance(pair, list) and len(pair) == 2
+                        and all(isinstance(z, (int, float)) for z in pair)
+                    ):
+                        raise GraphError(
+                            f"{where}: edge {json.dumps(pair)} is not a [u, v] pair"
+                        )
+                    u, v = pair
                     key = (min(u, v), max(u, v))
                     if key not in lookup:
-                        raise GraphError(f"{path}:{ln}: no edge between {u} and {v}")
+                        raise GraphError(f"{where}: no edge between {u} and {v}")
                     idxs.append(lookup[key])
             tree = frozenset(idxs)
             if not validate_tree(SteinerTree(tree, g.tree_cost(tree)), g):
-                raise GraphError(f"{path}:{ln}: not a minimal Steiner tree")
+                raise GraphError(f"{where}: not a minimal Steiner tree")
             trees.append(tree)
     if not trees:
         raise GraphError(f"{path}: no trees found")

@@ -6,10 +6,12 @@ vertices that still touch undecided edges): which frontier vertices
 share a component, whether each component holds a terminal, and each
 frontier vertex's degree.  Branches that can no longer complete a
 minimal Steiner tree of cost <= theta go to the 0-sink; branches whose
-chosen edges form exactly such a tree go to the 1-sink.  Nodes with
-equal states have indistinguishable futures and are merged, keeping the
-cheaper cost, so a node's cost is a lower bound over its incoming paths;
-the exact filter happens during traversal.
+chosen edges form exactly such a tree go to the 1-sink.  One call,
+``FrontierSearch.branches``, decides both branches of a node in a single
+pass over its state, as a TdZdd spec step does (Iwashita & Minato 2013).
+Nodes with equal states have indistinguishable futures and are merged,
+keeping the cheaper cost, so a node's cost is a lower bound over its
+incoming paths; the exact filter happens during traversal.
 """
 
 from __future__ import annotations
@@ -97,12 +99,14 @@ class _Step:
     leaving: tuple[int, ...]  # non-terminal endpoints on their last edge
     nonterminal_ends: tuple[int, ...]
     others: tuple[tuple[int, bool], ...]  # (index, is a non-terminal)
-    plan: tuple[tuple[int, int], ...]  # (vertex, index), frontier_sets[i]
+    keep: tuple[int, ...]  # index of each vertex of frontier_sets[i]
+    kept: tuple[int, ...]  # those vertices, ascending
+    dropped: tuple[tuple[int, int], ...]  # (index, vertex) leaving here
     all_seen: bool  # every terminal has entered the frontier
 
 
 class FrontierSearch:
-    """Step logic shared by construction and the unit tests.
+    """The frontier step, shared by construction and the unit tests.
 
     A state is the immutable tuple stored for a node at level i: one
     ``(representative, component holds a terminal, degree)`` entry per
@@ -111,7 +115,8 @@ class FrontierSearch:
     tuples mean equal partitions, and the tuple is its own merge key.
     Exact terminal counts, undecided edge-ends per component and the
     path cost are not stored: the first two follow from the tuple and
-    the level, and the cost is the caller's concern.
+    the level, and the cost is the caller's concern.  ``branches``
+    decides one edge for one state, both ways, in a single pass.
     """
 
     def __init__(self, g: Graph, order: EdgeOrder):
@@ -137,6 +142,8 @@ class FrontierSearch:
             at = {z: j for j, z in enumerate(vertices)}
             iu, iv = at[u], at[v]
             ends = dict.fromkeys((iu, iv))
+            kept = tuple(sorted(order.frontier_sets[i]))
+            keep = tuple(at[f] for f in kept)
             self.steps.append(_Step(
                 cost=c,
                 fresh=tuple((z, z in terms, 0) for z in entering),
@@ -154,114 +161,114 @@ class FrontierSearch:
                     (j, z not in terms)
                     for j, z in enumerate(vertices) if j not in ends
                 ),
-                plan=tuple((f, at[f]) for f in sorted(order.frontier_sets[i])),
+                keep=keep,
+                kept=kept,
+                dropped=tuple(
+                    (j, z) for j, z in enumerate(vertices) if j not in keep
+                ),
                 all_seen=i >= all_seen_at,
             ))
             remaining[u] -= 1
             remaining[v] -= 1
 
-    # -- sink classification ------------------------------------------------
-
-    @staticmethod
-    def _undecided(ext: tuple, step: _Step, rep: int) -> int:
-        """Undecided edge-ends, this edge's included, of component ``rep``
-        (an undecided edge inside the component counts twice)."""
-        return sum([r for e, r in zip(ext, step.undecided) if e[0] == rep])
-
-    @staticmethod
-    def _holds_all(ext: tuple, step: _Step, cu: int, cv: int) -> bool:
-        """True iff components cu and cv together hold every terminal.
-
-        Every terminal that has entered sits in some frontier component,
-        unless all of them were sealed off in one component that left
-        the frontier (the zero-sink rules kill a branch that seals off
-        only some); then no frontier component holds a terminal.
-        """
-        if not step.all_seen:
-            return False
-        holders = {rep for rep, t, _ in ext if t}
-        return bool(holders) and holders <= {cu, cv}
-
-    def is_one_sink(self, state: tuple, i: int, x: int) -> bool:
-        """True iff taking edge i completes a minimal Steiner tree right now.
-
-        Only an inclusion can complete a tree.  The chosen edges plus
-        edge i must connect all terminals in one acyclic component, leave
-        no non-terminal with degree 1, and leave no other component
-        holding edges; earlier exits were already screened, so checking
-        the live frontier suffices.  The cost bound is not checked here.
-        """
-        if x != 1:
-            return False
-        step = self.steps[i]
-        ext = state + step.fresh
-        cu = ext[step.iu][0]
-        cv = ext[step.iv][0]
-        if cu == cv or not self._holds_all(ext, step, cu, cv):
-            return False
-        # the endpoints end at degree deg+1; degree 1 is a leaf
-        if any(ext[j][2] == 0 for j in step.nonterminal_ends):
-            return False
-        for j, nonterminal in step.others:
-            rep, _, d = ext[j]
-            if d and (d == 1 and nonterminal or rep != cu and rep != cv):
-                return False
-        return True
-
-    def is_zero_sink(self, state: tuple, i: int, x: int) -> bool:
-        """True iff branch x of edge i can never reach a qualifying tree.
+    def branches(self, state: tuple, i: int, include: bool) -> tuple:
+        """Targets ``(lo, hi)`` of edge i from ``state``, each ZERO, ONE
+        or the successor state.
 
         Exclusion dies when it strands a terminal-bearing component (its
         last undecided edge-ends are this edge) or makes a leaving
-        non-terminal a leaf.  Inclusion dies on a cycle, on a leaving
-        non-terminal that would end as a leaf, or when it seals off a
-        component holding some but not all terminals.  The cost bound is
-        not checked here.
+        non-terminal a leaf.  Inclusion, skipped unless ``include`` (the
+        caller's cost bound), dies on a cycle, on a leaving non-terminal
+        that would end as a leaf, or when it seals off some but not all
+        terminals.  It completes a minimal Steiner tree (ONE) when the
+        joined component holds every terminal, no non-terminal in it is a
+        leaf and no other component holds edges; earlier exits were
+        screened, so checking the live frontier suffices.
+
+        Inclusion merges the endpoint components under the smaller
+        representative (holding a terminal if either did) and bumps both
+        endpoint degrees.  Endpoints on their last edge drop out; a
+        component one of them named is renamed after its first remaining
+        vertex; other entries are reused.  An emptied frontier is ZERO.
         """
         step = self.steps[i]
         ext = state + step.fresh
-        cu, tu, _ = ext[step.iu]
-        cv, tv, _ = ext[step.iv]
-        if x == 0:
-            if any(ext[j][2] == 1 for j in step.leaving):
-                return True
-            ends = 2 if cu == cv else 1
-            return (tu and self._undecided(ext, step, cu) == ends) or (
-                tv and self._undecided(ext, step, cv) == ends
-            )
-        if cu == cv or any(ext[j][2] == 0 for j in step.leaving):
-            return True
-        return (
-            (tu or tv)
-            and self._undecided(ext, step, cu) + self._undecided(ext, step, cv) == 2
-            and not self._holds_all(ext, step, cu, cv)
-        )
+        iu, iv = step.iu, step.iv
+        cu, tu, _ = ext[iu]
+        cv, tv, _ = ext[iv]
+        # undecided edge-ends, this edge's included, of the endpoint
+        # components (an undecided edge inside one counts twice); only
+        # the rules for terminal-bearing components read them
+        und_u = und_v = 0
+        if tu or tv:
+            for (rep, _, _), r in zip(ext, step.undecided):
+                if rep == cu:
+                    und_u += r
+                elif rep == cv:
+                    und_v += r
+        # leaving vertices that name their component, and the degrees of
+        # the leaving non-terminals
+        gone = [z for j, z in step.dropped if ext[j][0] == z]
+        leaving = [ext[j][2] for j in step.leaving]
 
-    # -- node generation ----------------------------------------------------
+        # with cu == cv, und_u counts both ends of this edge
+        if 1 in leaving or tu and und_u == (2 if cu == cv else 1) or tv and und_v == 1:
+            lo = ZERO
+        elif gone:
+            lo = _renamed([ext[j] for j in step.keep], step.kept, gone)
+        else:
+            lo = tuple([ext[j] for j in step.keep]) or ZERO
 
-    def generate(self, state: tuple, i: int, x: int) -> tuple:
-        """Successor state for branch x of edge i.
+        if not include or 0 in leaving or cu == cv:
+            return lo, ZERO
+        holds_all = False
+        if step.all_seen:
+            # entered terminals are all on the frontier, or all sealed off
+            holders = {rep for rep, t, _ in ext if t}
+            holds_all = bool(holders) and holders <= {cu, cv}
+        if holds_all:
+            if _completes(ext, step, cu, cv):
+                return lo, ONE
+        elif (tu or tv) and und_u + und_v == 2:
+            return lo, ZERO
 
-        Inclusion merges the endpoint components, which then hold a
-        terminal if either did, and bumps both endpoint degrees.
-        Endpoints whose last edge this was drop out, and every component
-        is renamed after its first remaining frontier vertex.  The empty
-        tuple means the frontier emptied.
-        """
-        step = self.steps[i]
-        ext = state + step.fresh
-        cu, tu, _ = ext[step.iu]
-        cv, tv, _ = ext[step.iv]
-        reps: dict[int, int] = {}
+        m = cu if cu < cv else cv
+        t = tu or tv
         out = []
-        for f, j in step.plan:
-            rep, t, d = ext[j]
-            if x:
-                if rep == cu or rep == cv:
-                    rep, t = cu, tu or tv
-                d += (j == step.iu) + (j == step.iv)
-            out.append((reps.setdefault(rep, f), t, d))
-        return tuple(out)
+        for j in step.keep:
+            entry = ext[j]
+            rep = entry[0]
+            if rep == cu or rep == cv:
+                entry = (m, t, entry[2] + (j == iu) + (j == iv))
+            out.append(entry)
+        hi = _renamed(out, step.kept, gone) if gone else tuple(out) or ZERO
+        return lo, hi
+
+
+def _completes(ext: tuple, step: _Step, cu: int, cv: int) -> bool:
+    """True iff joining cu and cv, which hold every terminal, leaves no
+    non-terminal leaf and no other component holding edges."""
+    # the endpoints end at degree deg+1; degree 1 is a leaf
+    if any(ext[j][2] == 0 for j in step.nonterminal_ends):
+        return False
+    for j, nonterminal in step.others:
+        rep, _, d = ext[j]
+        if d and (d == 1 and nonterminal or rep != cu and rep != cv):
+            return False
+    return True
+
+
+def _renamed(entries: list, vertices: tuple[int, ...], gone: list[int]):
+    """Entries with each component named after a vertex in ``gone``
+    renamed after its first vertex; ZERO for an empty frontier."""
+    for z in gone:
+        first = None
+        for k, (rep, t, d) in enumerate(entries):
+            if rep == z:
+                if first is None:
+                    first = vertices[k]
+                entries[k] = (first, t, d)
+    return tuple(entries) or ZERO
 
 
 def construct_bdd(
@@ -280,7 +287,8 @@ def construct_bdd(
     stay in memory.  An inclusion dies when even the cheapest path into
     its node, plus the edge, exceeds theta.  ``merge_nodes=False``
     disables merging (exponential; debugging aid for equivalence checks
-    on tiny inputs).
+    on tiny inputs).  Ids are contiguous per level and nodes are decided
+    in id order, so each node's arcs are appended as it is decided.
     """
     search = FrontierSearch(g, order)
     if theta is not None and theta < 0:
@@ -291,72 +299,62 @@ def construct_bdd(
 
     lo: list[int] = [-1, -1]
     hi: list[int] = [-1, -1]
-    level_of: list[int] = [0, 0]
-    # minimum path cost into each node, over the paths merged into it
-    node_cost: list[int] = [0, 0]
-    levels: list[list[int]] = [[] for _ in range(m + 1)]
-
-    root = 2
-    lo.append(ZERO)
-    hi.append(ZERO)
-    level_of.append(1)
-    node_cost.append(0)
-    levels[1].append(root)
-
-    current: list[tuple[int, tuple]] = [(root, ())]
+    levels: list[list[int]] = [[], [2]]  # the root 2 is level 1's node
+    states: list[tuple] = [()]
+    costs: list[int] = [0]  # cheapest path cost into each node of a level
     for i in range(1, m + 1):
         c = search.steps[i].cost
-        nxt: list[tuple[int, tuple]] = []
+        base = len(lo) + len(states)  # first id of level i+1
+        # ids of level i+1: levels and arcs share one int object per node
+        ids: list[int] = []
+        nxt: list[tuple] = []
+        nxt_costs: list[int] = []
         table: dict[tuple, int] = {}
-        for nid, state in current:
-            arcs = [ZERO, ZERO]
-            for x in (0, 1):
-                cost = node_cost[nid] + c * x
-                if x and theta is not None and cost > theta:
-                    continue
-                if search.is_one_sink(state, i, x):
-                    arcs[x] = ONE
-                    continue
-                if search.is_zero_sink(state, i, x):
-                    continue
-                child = search.generate(state, i, x)
-                if not child:
-                    # frontier emptied without completing: dead branch
-                    # (can only happen at the last level on connected input)
-                    continue
-                kept_id = table.get(child)
-                if kept_id is not None:
-                    node_cost[kept_id] = min(node_cost[kept_id], cost)
-                    arcs[x] = kept_id
-                    continue
-                new_id = len(lo)
-                if new_id - 2 >= node_cap:
+
+        def node(child: tuple, cost: int) -> int:
+            # id of the next-level node for child; a merge keeps the
+            # cheaper cost
+            nid = table.get(child)
+            if nid is None:
+                nid = base + len(ids)
+                if nid - 2 >= node_cap:
+                    sizes = [len(lvl) for lvl in levels[1:]] + [len(ids)]
                     raise NodeCapExceeded(
-                        node_cap, i, [len(lvl) for lvl in levels[1:]]
+                        node_cap, i, sizes + [0] * (m - len(sizes))
                     )
-                lo.append(ZERO)
-                hi.append(ZERO)
-                level_of.append(i + 1)
-                node_cost.append(cost)
-                levels[i + 1].append(new_id)
+                ids.append(nid)
+                nxt.append(child)
+                nxt_costs.append(cost)
                 if merge_nodes:
-                    table[child] = new_id
-                nxt.append((new_id, child))
-                arcs[x] = new_id
-            lo[nid], hi[nid] = arcs
-        current = nxt
+                    table[child] = nid
+            elif cost < nxt_costs[nid - base]:
+                nxt_costs[nid - base] = cost
+            return nid
+
+        for state, cost in zip(states, costs):
+            to_lo, to_hi = search.branches(
+                state, i, theta is None or cost + c <= theta
+            )
+            # a target that is not a state is a sink id
+            lo.append(node(to_lo, cost) if to_lo.__class__ is tuple else to_lo)
+            hi.append(node(to_hi, cost + c) if to_hi.__class__ is tuple else to_hi)
+        if i < m:
+            levels.append(ids)
+        states, costs = nxt, nxt_costs
 
     # any state surviving past the last level is impossible on connected
     # input; empty successor states were already routed to the 0-sink
-    assert not current, "non-sink state escaped the final level"
+    assert not states, "non-sink state escaped the final level"
 
     return Bdd(
         level_count=m,
         edge_order=tuple(order.permutation),
         edge_costs=tuple(g.edges[idx][2] for idx in order.permutation),
-        root=root,
+        root=2,
         lo=tuple(lo),
         hi=tuple(hi),
-        level_of=tuple(level_of),
-        levels=tuple(tuple(lvl) for lvl in levels),
+        level_of=(0, 0) + tuple(
+            level for level, ids in enumerate(levels) for _ in ids
+        ),
+        levels=tuple(tuple(ids) for ids in levels),
     )

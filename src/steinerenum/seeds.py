@@ -56,6 +56,10 @@ class SeedSelection:
     requested: int
 
 
+class UnreachableTerminal(GraphError):
+    """A terminal cannot be reached from the seed root."""
+
+
 def default_root(g: Graph) -> int:
     """Terminal with the smallest degree, ties to the smallest id."""
     if not g.terminals:
@@ -142,7 +146,7 @@ def tosp_tree(
     chosen: set[int] = set()
     for t in sorted(g.terminals):
         if dist[t] == math.inf:
-            raise GraphError(f"terminal {t} unreachable from root {root}")
+            raise UnreachableTerminal(f"terminal {t} unreachable from root {root}")
         v = t
         while v != root:
             idx = pred_edge[v]
@@ -150,24 +154,6 @@ def tosp_tree(
             v = g.other_end(idx, v)
     chosen = minimalize(chosen, g)
     return SteinerTree(frozenset(chosen), g.tree_cost(chosen))
-
-
-def _terminals_connected(g: Graph, banned: set[int]) -> bool:
-    edges, adjacency = g.edges, g.adjacency
-    terms = sorted(g.terminals)
-    seen = {terms[0]}
-    stack = [terms[0]]
-    while stack:
-        u = stack.pop()
-        for idx in adjacency[u]:
-            if idx in banned:
-                continue
-            a, b, _ = edges[idx]
-            w = b if a == u else a
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return all(t in seen for t in terms)
 
 
 def union_subgraph(g: Graph, edge_indices) -> tuple[Graph, tuple[int, ...]]:
@@ -186,7 +172,12 @@ def select_seeds(
     g: Graph, cfg: SeedConfig = SeedConfig(), root: int | None = None
 ) -> SeedSelection:
     """Run the heuristic num_seeds times (first intact, rest perturbed)
-    and return the distinct trees plus the union subgraph they induce."""
+    and return the distinct trees plus the union subgraph they induce.
+
+    A perturbed attempt whose sample leaves a terminal unreachable from
+    the root is drawn again; the shortest-path search that finds this is
+    the one the tree is built from.
+    """
     trees: list[SteinerTree] = [tosp_tree(g, root)]
     m = len(g.edges)
     delete_count = math.ceil(cfg.perturb_fraction * m)
@@ -195,10 +186,12 @@ def select_seeds(
             break  # perturbed runs would all repeat the first tree
         rng = random.Random(f"{cfg.rng_seed}:{seed_index}")
         for _ in range(cfg.max_retries):
-            banned = set(rng.sample(range(m), min(delete_count, m)))
-            if _terminals_connected(g, banned):
-                trees.append(tosp_tree(g, root, frozenset(banned)))
-                break
+            banned = frozenset(rng.sample(range(m), min(delete_count, m)))
+            try:
+                trees.append(tosp_tree(g, root, banned))
+            except UnreachableTerminal:
+                continue
+            break
         # retries exhausted: this seed is skipped; callers see fewer trees
 
     distinct: list[SteinerTree] = []

@@ -47,19 +47,18 @@ def reduce_bdd(bdd: Bdd) -> Bdd:
     new_lo = list(bdd.lo)
     new_hi = list(bdd.hi)
     alive = [False] * n
-
-    def target_alive(t: int) -> bool:
-        return t == ONE or (t >= 2 and alive[t])
-
+    alive[ONE] = True
     for level in range(bdd.level_count, 0, -1):
         for nid in bdd.levels[level]:
-            if not target_alive(new_lo[nid]):
+            if not alive[new_lo[nid]]:
                 new_lo[nid] = ZERO
-            if not target_alive(new_hi[nid]):
+            if not alive[new_hi[nid]]:
                 new_hi[nid] = ZERO
             alive[nid] = new_lo[nid] != ZERO or new_hi[nid] != ZERO
 
-    remap: dict[int, int] = {ZERO: ZERO, ONE: ONE}
+    # dead nodes map to the 0-sink, which only a dead root still needs
+    remap = [ZERO] * n
+    remap[ONE] = ONE
     next_id = 2
     levels: list[list[int]] = [[] for _ in range(bdd.level_count + 1)]
     for level in range(1, bdd.level_count + 1):
@@ -79,9 +78,7 @@ def reduce_bdd(bdd: Bdd) -> Bdd:
                 hi.append(remap[new_hi[nid]])
                 level_of.append(level)
 
-    root = remap.get(bdd.root, ZERO) if bdd.root >= 2 else bdd.root
-    if root >= 2 and not alive[bdd.root]:
-        root = ZERO
+    root = remap[bdd.root]
     return Bdd(
         level_count=bdd.level_count,
         edge_order=bdd.edge_order,

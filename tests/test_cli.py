@@ -11,6 +11,7 @@ from steinerenum import cli, parse_stp, pipeline
 from .conftest import TRIANGLE_STP
 
 CLI = [sys.executable, "-m", "steinerenum"]
+NOT_A_TREE_RECORD = 'expected an object with an "edges" or "edge_indices" list'
 
 
 def run_cli(*args, env_extra=None):
@@ -252,6 +253,35 @@ class TestOtherSubcommands:
         assert capsys.readouterr().out.splitlines() == [
             '{"cost": 3, "edges": [[1, 3]]}'
         ]
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"cost": 1}', NOT_A_TREE_RECORD),
+            ("[1, 2]", NOT_A_TREE_RECORD),
+            ('{"edges": [[1, 2, 3]]}', "edge [1, 2, 3] is not a [u, v] pair"),
+            ('{"edges": [[1, 2], [2,', "invalid JSON"),
+            ('{"edge_indices": [[0]]}', "edge index [0] is not an integer"),
+            ('{"edge_indices": [2.9]}', "edge index 2.9 is not an integer"),
+        ],
+        ids=[
+            "no_edges", "not_an_object", "triple", "truncated", "nested_index",
+            "fractional_index",
+        ],
+    )
+    def test_seeds_from_file_malformed_record_is_3(
+        self, tri_path, tmp_path, record, message
+    ):
+        seeds = tmp_path / "seeds.jsonl"
+        seeds.write_text('{"edges": [[1, 3]]}\n' + record + "\n")
+        proc = run_cli(
+            "enumerate", "--input", tri_path, "--theta", "inf",
+            "--seeds-from-file", str(seeds),
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert f"{seeds}:2: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_seeds_from_file(self, tri_path, tmp_path):
         seeds = tmp_path / "seeds.jsonl"

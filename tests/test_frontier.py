@@ -16,7 +16,12 @@ from steinerenum import (
     reduce_bdd,
 )
 from steinerenum.frontier import ONE, ZERO
-from .conftest import grid_graph, random_connected_graph
+from .conftest import grid_graph, random_connected_graph, subdivide_edge
+from .frontier_reference import (
+    ReferenceFrontierSearch,
+    reference_construct_bdd,
+    reference_reduce_bdd,
+)
 
 
 def decoded_subsets(bdd):
@@ -44,9 +49,8 @@ def walk_states(search, bits):
     decision on the way reaches a sink."""
     state = ()
     for i, x in enumerate(bits, 1):
-        assert not search.is_one_sink(state, i, x)
-        assert not search.is_zero_sink(state, i, x)
-        state = search.generate(state, i, x)
+        state = search.branches(state, i, True)[x]
+        assert state not in (ZERO, ONE)
     return state
 
 
@@ -77,49 +81,49 @@ class TestTriangleTrace:
     def test_first_step_states(self, setup):
         _, _, search = setup
         # both endpoints enter as singletons; only vertex 1 is a terminal
-        assert search.generate((), 1, 0) == ((1, True, 0), (2, False, 0))
-        assert search.generate((), 1, 1) == ((1, True, 1), (1, True, 1))
+        assert search.branches((), 1, True) == (
+            ((1, True, 0), (2, False, 0)),
+            ((1, True, 1), (1, True, 1)),
+        )
         # every incident edge of 1 and 2 is still undecided at step 1
         assert search.steps[1].undecided == (2, 2)
 
     def test_first_include_is_not_yet_a_tree(self, setup):
         _, _, search = setup
-        assert not search.is_one_sink((), 1, 1)
-        assert not search.is_zero_sink((), 1, 1)
-        assert not search.is_zero_sink((), 1, 0)
+        for target in search.branches((), 1, True):
+            assert target not in (ZERO, ONE)
 
     def test_direct_edge_completes_after_skip(self, setup):
-        # skip e0, then include e2: both endpoints are terminals
+        # skip e0, then include e2: both endpoints are terminals; skipping
+        # e2 as well strands terminal 1 (its last edge end)
         _, _, search = setup
-        s1 = search.generate((), 1, 0)
-        assert search.is_one_sink(s1, 2, 1)
-        # skipping e2 as well strands terminal 1 (its last edge end)
-        assert search.is_zero_sink(s1, 2, 0)
+        s1 = search.branches((), 1, True)[0]
+        assert search.branches(s1, 2, True) == (ZERO, ONE)
+        # an inclusion pruned by the cost bound is not decided at all
+        assert search.branches(s1, 2, False) == (ZERO, ZERO)
 
     def test_nonterminal_leaf_blocks_completion(self, setup):
         # include e0, then include e2: terminals connect but vertex 2
         # would be a degree-1 non-terminal, so this is not a 1-sink
         _, _, search = setup
-        s1 = search.generate((), 1, 1)
+        s1 = search.branches((), 1, True)[1]
         assert s1 == ((1, True, 1), (1, True, 1))
         assert search.steps[2].all_seen  # terminal 3 enters at step 2
-        assert not search.is_one_sink(s1, 2, 1)
-        assert not search.is_zero_sink(s1, 2, 1)
+        assert search.branches(s1, 2, True)[1] not in (ZERO, ONE)
 
     def test_sealed_partial_component_dies(self, setup):
         # after e0 and e2, excluding e1 seals a component that holds
-        # both terminals but cannot shed its non-terminal leaf
+        # both terminals but cannot shed its non-terminal leaf (no
+        # undecided edge-end left); including e1 closes a cycle
         _, _, search = setup
-        s2 = search.generate(search.generate((), 1, 1), 2, 1)
+        s2 = search.branches(search.branches((), 1, True)[1], 2, True)[1]
         assert s2 == ((2, True, 1), (2, True, 1))
-        assert search.is_zero_sink(s2, 3, 0)  # no undecided edge-end left
-        assert search.is_zero_sink(s2, 3, 1)  # cycle
+        assert search.branches(s2, 3, True) == (ZERO, ZERO)
 
     def test_chain_completes_at_last_edge(self, setup):
         _, _, search = setup
-        s2 = search.generate(search.generate((), 1, 1), 2, 0)
-        assert search.is_one_sink(s2, 3, 1)
-        assert search.is_zero_sink(s2, 3, 0)
+        s2 = search.branches(search.branches((), 1, True)[1], 2, True)[0]
+        assert search.branches(s2, 3, True) == (ZERO, ONE)
 
     def test_constructed_structure(self, triangle):
         order = order_edges(triangle)
@@ -257,6 +261,87 @@ class TestMerging:
         ]
 
 
+class TestRenaming:
+    """A component named after a vertex that leaves the frontier is
+    renamed after its first remaining vertex, on either branch.
+
+    4-cycle 1-2-3-4 with terminals {1, 3}, ordered (1,2), (1,4), (2,3),
+    (3,4): vertex 1 leaves at step 2, when the frontier becomes {2, 4}.
+    """
+
+    @pytest.fixture
+    def search(self):
+        g = Graph(
+            4, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1)), frozenset({1, 3})
+        )
+        order = order_edges(g)
+        assert order.permutation == (0, 3, 1, 2)
+        return FrontierSearch(g, order)
+
+    def test_renamed_on_both_branches(self, search):
+        # with (1,2) taken, 1 names the component {1, 2}
+        s1 = search.branches((), 1, True)[1]
+        assert s1 == ((1, True, 1), (1, True, 1))
+        assert search.branches(s1, 2, True) == (
+            ((2, True, 1), (4, False, 0)),
+            ((2, True, 1), (2, True, 1)),
+        )
+
+    def test_merged_component_renamed_on_inclusion(self, search):
+        # with (1,2) skipped, taking (1,4) joins {1} and {4} under 1,
+        # which then leaves; skipping it strands terminal 1
+        s1 = search.branches((), 1, True)[0]
+        assert s1 == ((1, True, 0), (2, False, 0))
+        assert search.branches(s1, 2, True) == (
+            ZERO,
+            ((2, False, 0), (4, True, 1)),
+        )
+
+
+class TestAgainstThreePredicateStep:
+    def test_identical_diagrams(self):
+        """The fused step builds byte-identical diagrams, before and
+        after reduction, to the three-predicate step it replaced."""
+        rng = random.Random(5)
+        for n in range(1200):
+            g = random_connected_graph(rng)
+            if n % 3 == 0:
+                g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+            order = order_edges(g)
+            for theta in (None, 0, 5, 10, 20, 40):
+                bdd = construct_bdd(g, order, theta)
+                ref = reference_construct_bdd(g, order, theta)
+                assert bdd.dump() == ref.dump()
+                assert reduce_bdd(bdd).dump() == reference_reduce_bdd(ref).dump()
+
+    def test_identical_steps(self):
+        """Both branches of every reachable state match the reference's
+        sink predicates and successors, unmerged nodes included."""
+        rng = random.Random(11)
+        for _ in range(150):
+            g = random_connected_graph(rng, max_vertices=7, max_edges=10)
+            order = order_edges(g)
+            search = FrontierSearch(g, order)
+            ref = ReferenceFrontierSearch(g, order)
+            states = [()]
+            for i in range(1, len(order.permutation) + 1):
+                nxt = []
+                for state in states:
+                    got = search.branches(state, i, True)
+                    for x, target in enumerate(got):
+                        if ref.is_one_sink(state, i, x):
+                            assert target == ONE
+                        elif ref.is_zero_sink(state, i, x):
+                            assert target == ZERO
+                        else:
+                            want = ref.generate(state, i, x)
+                            assert target == (want or ZERO)
+                            if want:
+                                nxt.append(want)
+                    assert search.branches(state, i, False) == (got[0], ZERO)
+                states = list(dict.fromkeys(nxt))
+
+
 class TestCapacityAndValidation:
     def test_node_cap(self):
         g = Graph(
@@ -269,6 +354,19 @@ class TestCapacityAndValidation:
         assert exc.value.cap == 2
         assert exc.value.level >= 1
         assert exc.value.layer_sizes
+
+    def test_node_cap_reports_layers(self):
+        # the ninth node would open level 4: levels 1-3 are complete and
+        # level 4 holds two nodes so far
+        g = Graph(
+            4,
+            ((1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1), (2, 3, 1)),
+            frozenset({1, 4}),
+        )
+        with pytest.raises(NodeCapExceeded) as exc:
+            construct_bdd(g, order_edges(g), node_cap=8)
+        assert exc.value.level == 3
+        assert exc.value.layer_sizes == [1, 2, 3, 2, 0]
 
     def test_needs_two_terminals(self):
         g = Graph(2, ((1, 2, 1),), frozenset({1}))
@@ -336,6 +434,28 @@ GOLDEN_DIAGRAMS = [
     ),
 ]
 
+# name -> node count, sha256 of Bdd.dump() after reduce_bdd
+GOLDEN_REDUCED = {
+    "triangle": (
+        4, "88fd6c156db2a852f2f5d524b38d1c87f4c3c37fb6ecee0730b2f588d0b1f1c6"
+    ),
+    "grid_2x20": (
+        272, "3367e4a862b1e98abfbca4db7f4fb9ad45e474365df6de6dbe2de39ac5915dbb"
+    ),
+    "grid_4x4": (
+        848, "141ce9d7abdbf7e3b611bdcf7641b073aa3b5ccb404f040c8b08438e3dabf2ab"
+    ),
+    "grid_4x8": (
+        8302, "ba85c1e48a768fea2701bbdfb8c75da1a68af03885c8b1a90c95398f5d556bab"
+    ),
+    "merge_cost_theta10": (
+        5, "7ca75641128bf70268c93d60fc016289031b54799858e4734a6f9a32ea480741"
+    ),
+    "random_2029_theta15": (
+        25, "ba1331a55334215aa3e75a99940ee249afab0770d206cd1b9de4df147af5e51c"
+    ),
+}
+
 
 class TestGoldenDiagrams:
     """The constructed diagram is pinned byte for byte: node ids, arcs
@@ -351,3 +471,15 @@ class TestGoldenDiagrams:
         bdd = construct_bdd(g, order_edges(g, start=start), theta)
         assert bdd.node_count == nodes
         assert hashlib.sha256(bdd.dump().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, make, start, theta",
+        [case[:4] for case in GOLDEN_DIAGRAMS],
+        ids=[case[0] for case in GOLDEN_DIAGRAMS],
+    )
+    def test_reduced_dump_digest(self, name, make, start, theta):
+        g = make()
+        reduced = reduce_bdd(construct_bdd(g, order_edges(g, start=start), theta))
+        nodes, digest = GOLDEN_REDUCED[name]
+        assert reduced.node_count == nodes
+        assert hashlib.sha256(reduced.dump().encode()).hexdigest() == digest

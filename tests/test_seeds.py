@@ -1,5 +1,6 @@
 """Seed-tree heuristic: shortest-path trees, perturbation, union subgraph."""
 
+import math
 import random
 
 import pytest
@@ -8,14 +9,94 @@ from steinerenum import (
     Graph,
     GraphError,
     SeedConfig,
+    SteinerTree,
     brute_force_minimal_steiner,
     select_seeds,
     tosp_tree,
     union_subgraph,
     validate_tree,
 )
-from steinerenum.seeds import default_root, minimalize
+from steinerenum.seeds import (
+    SeedSelection,
+    _dijkstra,
+    default_root,
+    minimalize,
+)
 from .conftest import random_connected_graph
+
+
+# -- test-only reference: seed selection with a separate connectivity
+# search before each perturbed shortest-path tree, as it stood before
+# select_seeds built each tree from the search that checks reachability
+
+
+def reference_tosp_tree(
+    g: Graph, root: int | None = None, banned: frozenset[int] = frozenset()
+):
+    if root is None:
+        root = default_root(g)
+    elif root not in g.terminals:
+        raise GraphError(f"seed root {root} is not a terminal")
+    dist, pred_edge, _ = _dijkstra(g, root, banned)
+    chosen: set[int] = set()
+    for t in sorted(g.terminals):
+        if dist[t] == math.inf:
+            raise GraphError(f"terminal {t} unreachable from root {root}")
+        v = t
+        while v != root:
+            idx = pred_edge[v]
+            chosen.add(idx)
+            v = g.other_end(idx, v)
+    chosen = minimalize(chosen, g)
+    return SteinerTree(frozenset(chosen), g.tree_cost(chosen))
+
+
+def reference_terminals_connected(g: Graph, banned: set[int]) -> bool:
+    edges, adjacency = g.edges, g.adjacency
+    terms = sorted(g.terminals)
+    seen = {terms[0]}
+    stack = [terms[0]]
+    while stack:
+        u = stack.pop()
+        for idx in adjacency[u]:
+            if idx in banned:
+                continue
+            a, b, _ = edges[idx]
+            w = b if a == u else a
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return all(t in seen for t in terms)
+
+
+def reference_select_seeds(
+    g: Graph, cfg: SeedConfig = SeedConfig(), root: int | None = None
+) -> SeedSelection:
+    trees: list[SteinerTree] = [reference_tosp_tree(g, root)]
+    m = len(g.edges)
+    delete_count = math.ceil(cfg.perturb_fraction * m)
+    for seed_index in range(1, cfg.num_seeds):
+        if delete_count == 0:
+            break  # perturbed runs would all repeat the first tree
+        rng = random.Random(f"{cfg.rng_seed}:{seed_index}")
+        for _ in range(cfg.max_retries):
+            banned = set(rng.sample(range(m), min(delete_count, m)))
+            if reference_terminals_connected(g, banned):
+                trees.append(reference_tosp_tree(g, root, frozenset(banned)))
+                break
+        # retries exhausted: this seed is skipped; callers see fewer trees
+
+    distinct: list[SteinerTree] = []
+    seen: set[frozenset[int]] = set()
+    for t in trees:
+        if t.edges not in seen:
+            seen.add(t.edges)
+            distinct.append(t)
+    union: set[int] = set()
+    for t in distinct:
+        union |= t.edges
+    sub, edge_map = union_subgraph(g, union)
+    return SeedSelection(sub, edge_map, tuple(distinct), cfg.num_seeds)
 
 
 class TestTosp:
@@ -115,6 +196,41 @@ class TestSelectSeeds:
         b = select_seeds(g, cfg)
         assert [t.edges for t in a.seed_trees] == [t.edges for t in b.seed_trees]
         assert a.edge_map == b.edge_map
+
+    def test_matches_reference_with_retries(self):
+        """One search per perturbed attempt selects exactly what a
+        connectivity check followed by a second search did, including
+        seeds that need retries and seeds whose retries run out."""
+        rng = random.Random(43)
+        retried = exhausted = 0
+        for n in range(400):
+            g = random_connected_graph(rng, max_vertices=8, max_edges=14)
+            cfg = SeedConfig(
+                num_seeds=4,
+                perturb_fraction=rng.choice((0.3, 0.4, 0.5, 0.6)),
+                rng_seed=n,
+                max_retries=rng.choice((2, 5)),
+            )
+            root = rng.choice([None, *sorted(g.terminals)])
+            got = select_seeds(g, cfg, root)
+            want = reference_select_seeds(g, cfg, root)
+            assert got.seed_trees == want.seed_trees
+            assert got.edge_map == want.edge_map
+            assert got.graph == want.graph
+            assert got.requested == want.requested
+            # replay the samples to see which retry paths were taken
+            m = len(g.edges)
+            for seed_index in range(1, cfg.num_seeds):
+                sampler = random.Random(f"{cfg.rng_seed}:{seed_index}")
+                for attempt in range(cfg.max_retries):
+                    banned = set(sampler.sample(range(m), math.ceil(
+                        cfg.perturb_fraction * m)))
+                    if reference_terminals_connected(g, banned):
+                        retried += attempt > 0
+                        break
+                else:
+                    exhausted += 1
+        assert retried > 0 and exhausted > 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
