@@ -8,8 +8,7 @@ Usage::
                           [--rng-seed S] [--seed-root R]
     steinerenum build     --input g.stp [--theta T | --theta-ratio R] ...
     steinerenum enumerate --input g.stp [--theta T | --theta-ratio R]
-                          [--k K] [--cap C] [--output out.jsonl]
-                          [--report r.json] [--dump-bdd b.txt]
+                          [--k K] [--output out.jsonl] [--report r.json]
                           [--no-seeds] [--no-simplify] [--exact] ...
     steinerenum count     --input g.stp [--no-simplify]
     steinerenum oracle    --input g.stp [--theta T]
@@ -19,9 +18,10 @@ Tree output is JSON lines, one tree per line, ascending cost::
     {"cost": 7, "edges": [[1, 2], [2, 3]]}
 
 Costs are integers in the graph's scaled units (the scale is 1 unless
-the input had decimal weights).  ``enumerate`` writes the C cheapest
-trees within theta (``--cap C``, default K), or all of them when fewer
-exist.  ``build`` stops after reduction and traverses nothing.
+the input had decimal weights).  ``enumerate`` writes the K cheapest
+trees within theta (``--k K``), or all of them when fewer exist.
+``build`` takes the same preprocessing flags, stops after reduction,
+traverses nothing and writes the reduced diagram.
 Summaries go to stderr; data to stdout or --output.  Exit codes: 0 ok,
 2 usage, 3 bad input, 4 no tree within theta, 5 node cap exceeded,
 6 more trees within theta than written (those written are exactly the
@@ -32,15 +32,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
-from .frontier import NodeCapExceeded, construct_bdd
+from .frontier import NodeCapExceeded
 from .graph import Graph, GraphError, SteinerTree, order_edges, parse_stp, simplify, write_stp
 from .oracle import OracleError, brute_force_minimal_steiner
 from .pipeline import RunConfig, RunResult, build_diagram, resolve_theta, run
 from .seeds import SeedConfig, select_seeds
-from .traverse import count_trees, reduce_bdd, validate_tree
+from .traverse import count_trees, validate_tree
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 3
@@ -168,7 +169,6 @@ def _build_config(args, g: Graph) -> RunConfig:
         seed_root=_parse_root(args),
         use_seeds=not (exact or getattr(args, "no_seeds", False)) and seed_trees is None,
         use_simplify=not (exact or getattr(args, "no_simplify", False)),
-        cap=getattr(args, "cap", None),
         node_cap=args.node_cap,
         seed_trees=seed_trees,
     )
@@ -218,7 +218,7 @@ def _load_seed_file(path: str, g: Graph) -> tuple[frozenset[int], ...]:
                 for pair in rec["edges"]:
                     if not (
                         isinstance(pair, list) and len(pair) == 2
-                        and all(isinstance(z, (int, float)) for z in pair)
+                        and all(type(z) in (int, float) for z in pair)  # no bool
                     ):
                         raise GraphError(
                             f"{where}: edge {json.dumps(pair)} is not a [u, v] pair"
@@ -313,7 +313,7 @@ def _cmd_build(args) -> int:
     else:
         sys.stdout.write(dump)
     print(
-        f"build: {d.bdd.node_count} nodes constructed, "
+        f"build: {d.nodes} nodes constructed, "
         f"{d.reduced.node_count} after reduction",
         file=sys.stderr,
     )
@@ -323,11 +323,8 @@ def _cmd_build(args) -> int:
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args.input)
     cfg = _build_config(args, g)
-    res = run(g, cfg, want_dump=args.dump_bdd is not None)
+    res = run(g, cfg)
     _emit_trees(res.trees, g, args.output)
-    if args.dump_bdd:
-        with open(args.dump_bdd, "w", encoding="utf-8") as fh:
-            fh.write(res.bdd_dump)
     if args.report:
         _write_report(args.report, g, res)
     theta_text = "unbounded" if res.theta is None else str(res.theta)
@@ -352,14 +349,13 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     g = _load_graph(args.input)
-    if len(g.terminals) < 2:
-        raise GraphError("count needs at least two terminals")
-    work = g
-    if not args.no_simplify:
-        work, _ = simplify(work)
-    order = order_edges(work)
-    bdd = construct_bdd(work, order, None, node_cap=args.node_cap)
-    print(count_trees(reduce_bdd(bdd)))
+    cfg = RunConfig(
+        theta=math.inf,
+        use_seeds=False,
+        use_simplify=not args.no_simplify,
+        node_cap=args.node_cap,
+    )
+    print(count_trees(build_diagram(g, cfg).reduced))
     return EXIT_OK
 
 
@@ -416,15 +412,8 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds-from-file", default=None, help="JSONL seed trees")
         p.add_argument("--output", default=None)
         if name == "enumerate":
-            p.add_argument("--k", type=int, default=1000)
-            p.add_argument(
-                "--cap",
-                type=int,
-                default=None,
-                help="write at most C cheapest trees (default k)",
-            )
+            p.add_argument("--k", type=int, default=1000, help="trees written")
             p.add_argument("--report", default=None, help="write a JSON run report")
-            p.add_argument("--dump-bdd", default=None, help="also dump the diagram")
 
     p = add("count", _cmd_count, "print the exact tree count (unbounded)")
     p.add_argument("--no-simplify", action="store_true")

@@ -277,18 +277,17 @@ def construct_bdd(
     theta: int | None = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    merge_nodes: bool = True,
 ) -> Bdd:
     """Build the layered diagram whose 1-sink paths are exactly the
-    minimal Steiner trees of cost <= theta (plus, possibly, cheaper-
-    looking paths that the exact traversal filter later discards).
+    minimal Steiner trees of cost <= theta (plus, possibly, paths over
+    theta, which the traversal's exact cost check discards).
 
     Levels are processed once each; only the previous layer's states
-    stay in memory.  An inclusion dies when even the cheapest path into
-    its node, plus the edge, exceeds theta.  ``merge_nodes=False``
-    disables merging (exponential; debugging aid for equivalence checks
-    on tiny inputs).  Ids are contiguous per level and nodes are decided
-    in id order, so each node's arcs are appended as it is decided.
+    stay in memory.  Nodes with equal states merge and keep the cheaper
+    cost into them, so an inclusion dies when even the cheapest path
+    into its node, plus the edge, exceeds theta.  Ids are contiguous per
+    level and nodes are decided in id order, so each node's arcs are
+    appended as it is decided.
     """
     search = FrontierSearch(g, order)
     if theta is not None and theta < 0:
@@ -325,8 +324,7 @@ def construct_bdd(
                 ids.append(nid)
                 nxt.append(child)
                 nxt_costs.append(cost)
-                if merge_nodes:
-                    table[child] = nid
+                table[child] = nid
             elif cost < nxt_costs[nid - base]:
                 nxt_costs[nid - base] = cost
             return nid

@@ -265,14 +265,25 @@ def parse_stp(text: str) -> Graph:
     )
 
 
+def _weight_text(val: Fraction) -> str:
+    """A non-negative weight as an exact decimal when its denominator
+    divides a power of ten (``15/4`` -> ``3.75``), else as ``p/q``."""
+    if val.denominator == 1:
+        return str(val.numerator)
+    digits = val.denominator.bit_length()  # 2^a 5^b divides 10^digits
+    if 10**digits % val.denominator:
+        return str(val)
+    text = str(val.numerator * 10**digits // val.denominator).zfill(digits + 1)
+    return f"{text[:-digits]}.{text[-digits:]}".rstrip("0")
+
+
 def write_stp(g: Graph) -> str:
     """Render a Graph back to STP text (weights unscaled exactly)."""
     out = [f"{_MAGIC} STP File, STP Format Version 1.0", "", "SECTION Graph"]
     out.append(f"Nodes {g.vertex_count}")
     out.append(f"Edges {len(g.edges)}")
     for u, v, w in g.edges:
-        val = Fraction(w, g.cost_scale)
-        out.append(f"E {u} {v} {val.numerator if val.denominator == 1 else val}")
+        out.append(f"E {u} {v} {_weight_text(Fraction(w, g.cost_scale))}")
     out.append("END")
     out.append("")
     out.append("SECTION Terminals")

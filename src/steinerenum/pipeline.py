@@ -37,11 +37,10 @@ class RunConfig:
     ratio multiplies the cheapest seed tree's cost (a throwaway
     shortest-path tree provides the reference when seeds are disabled).
     ``use_seeds``/``use_simplify`` toggle the two preprocessing stages;
-    exact mode is both off.  ``cap`` (at least k, default k) is the most
-    trees written: the run writes the ``cap`` cheapest trees within
-    theta, or all of them when fewer exist.  ``seed_trees`` optionally
-    injects externally supplied trees (original edge indices) instead of
-    running the heuristic.
+    exact mode is both off.  The run writes the ``k`` cheapest trees
+    within theta, or all of them when fewer exist.  ``seed_trees``
+    optionally injects externally supplied trees (original edge indices)
+    instead of running the heuristic.
     """
 
     k: int = 1000
@@ -51,7 +50,6 @@ class RunConfig:
     seed_root: int | None = None
     use_seeds: bool = True
     use_simplify: bool = True
-    cap: int | None = None
     node_cap: int = DEFAULT_NODE_CAP
     seed_trees: tuple[frozenset[int], ...] | None = None
 
@@ -60,8 +58,6 @@ class RunConfig:
             raise ValueError("theta and theta_ratio are mutually exclusive")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.cap is not None and self.cap < self.k:
-            raise ValueError("cap must be >= k")
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,6 @@ class RunResult:
     seed_trees: tuple[SteinerTree, ...]
     seeds_requested: int
     timing_ms: dict[str, float]
-    bdd_dump: str | None = None
 
 
 def _active_vertex_count(g: Graph) -> int:
@@ -115,11 +110,12 @@ def resolve_theta(
 
 @dataclass(frozen=True)
 class Diagram:
-    """Everything a run has before traversal: the reduced diagram, the
-    graph it was built on with the maps back to input edge indices, the
-    applied theta and the seed trees."""
+    """Everything a run has before traversal: the reduced diagram and the
+    constructed diagram's node count, the graph it was built on with the
+    maps back to input edge indices, the applied theta and the seed
+    trees."""
 
-    bdd: Bdd  # as constructed
+    nodes: int  # as constructed
     reduced: Bdd
     graph: Graph  # preprocessed
     edge_map: tuple[int, ...]  # preprocessed-graph edge -> input edge
@@ -176,7 +172,7 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
     reduced = reduce_bdd(bdd)
     t2 = time.perf_counter()
     return Diagram(
-        bdd=bdd,
+        nodes=bdd.node_count,
         reduced=reduced,
         graph=simplified,
         edge_map=edge_map,
@@ -188,12 +184,12 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
     )
 
 
-def run(g: Graph, cfg: RunConfig = RunConfig(), *, want_dump: bool = False) -> RunResult:
+def run(g: Graph, cfg: RunConfig = RunConfig()) -> RunResult:
     """Execute the full pipeline on a parsed graph."""
     d = build_diagram(g, cfg)
 
     t0 = time.perf_counter()
-    result = enumerate_trees(d.reduced, k=cfg.k, theta=d.theta, cap=cfg.cap)
+    result = enumerate_trees(d.reduced, k=cfg.k, theta=d.theta)
     timing = {**d.timing_ms, "traverse": (time.perf_counter() - t0) * 1000}
 
     trees = []
@@ -213,12 +209,11 @@ def run(g: Graph, cfg: RunConfig = RunConfig(), *, want_dump: bool = False) -> R
         graph_terminals=len(g.terminals),
         pre_vertices=_active_vertex_count(d.graph),
         pre_edges=len(d.graph.edges),
-        bdd_nodes=d.bdd.node_count,
+        bdd_nodes=d.nodes,
         bdd_nodes_reduced=d.reduced.node_count,
         peak_entries=result.peak_entries,
         truncated=result.truncated,
         seed_trees=d.seed_trees,
         seeds_requested=d.seeds_requested,
         timing_ms=timing,
-        bdd_dump=d.reduced.dump() if want_dump else None,
     )

@@ -114,7 +114,7 @@ def count_trees(bdd: Bdd) -> int:
 class EnumerationResult:
     """Output of the top-k traversal plus its instrumentation.
 
-    ``trees`` holds exactly the ``min(cap, T)`` cheapest trees, where T
+    ``trees`` holds exactly the ``min(k, T)`` cheapest trees, where T
     is the number of trees within theta, ascending by
     ``(cost, sorted_edges)``; among trees tied at the cut cost the
     traversal's fixed push order decides which are kept.
@@ -147,11 +147,10 @@ def enumerate_trees(
     *,
     k: int,
     theta: int | None = None,
-    cap: int | None = None,
     entry_budget: int | None = None,
 ) -> EnumerationResult:
-    """Write the cheapest trees within theta: at least the k cheapest
-    and at most ``cap`` of them (default k).
+    """Write the k cheapest trees within theta, or all of them when
+    fewer exist.
 
     Best-first search over root-to-1-sink paths.  A heap entry stands
     for every path that starts with a fixed prefix ending at a node; its
@@ -167,10 +166,6 @@ def enumerate_trees(
     """
     if k < 1:
         raise TraversalError("k must be at least 1")
-    if cap is None:
-        cap = k
-    if cap < k:
-        raise TraversalError("cap must be >= k")
 
     best = _cheapest_completions(bdd)
     # no path costs more than all edges together, and inf exceeds that
@@ -186,7 +181,7 @@ def enumerate_trees(
     pushes = 1
     peak = 1
     trees: list[SteinerTree] = []
-    while heap and len(trees) < cap:
+    while heap and len(trees) < k:
         f, _, nid, path = heapq.heappop(heap)
         prefix = f - best[nid]
         while nid != ONE:

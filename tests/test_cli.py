@@ -1,14 +1,18 @@
 """End-to-end CLI behavior through real subprocesses."""
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from steinerenum import cli, parse_stp, pipeline
-from .conftest import TRIANGLE_STP
+from steinerenum import cli, parse_stp, pipeline, simplify, write_stp
+from steinerenum.oracle import brute_force_minimal_steiner
+from .conftest import TRIANGLE_STP, random_connected_graph, subdivide_edge
 
 CLI = [sys.executable, "-m", "steinerenum"]
 NOT_A_TREE_RECORD = 'expected an object with an "edges" or "edge_indices" list'
@@ -85,15 +89,6 @@ class TestEnumerate:
         assert data["trees"]["min_cost"] == 2
         assert data["trees"]["avg_cost"] == 2.5
 
-    def test_dump_bdd_sidecar(self, tri_path, tmp_path):
-        dump = tmp_path / "diagram.txt"
-        run_cli(
-            "enumerate", "--input", tri_path, "--theta", "inf",
-            "--exact", "--dump-bdd", str(dump),
-        )
-        header = dump.read_text().splitlines()[0]
-        assert header.startswith("bdd ")
-
 
 class TestExitCodes:
     def test_parse_failure_is_3(self, tmp_path):
@@ -122,15 +117,10 @@ class TestExitCodes:
     def test_truncation_is_6(self, all_term_path):
         proc = run_cli(
             "enumerate", "--input", all_term_path, "--theta", "inf",
-            "--exact", "--k", "1", "--cap", "1",
+            "--exact", "--k", "1",
         )
         assert proc.returncode == 6
         assert len(proc.stdout.splitlines()) == 1
-
-    def test_cap_below_k_is_3(self, tri_path):
-        proc = run_cli("enumerate", "--input", tri_path, "--k", "5", "--cap", "2")
-        assert proc.returncode == 3
-        assert "cap must be >= k" in proc.stderr
 
     def test_usage_error_is_2(self, tri_path):
         proc = run_cli(
@@ -156,6 +146,19 @@ class TestOtherSubcommands:
         assert run_cli("count", "--input", tri_path).stdout.strip() == "2"
         assert run_cli("count", "--input", all_term_path).stdout.strip() == "3"
 
+    def test_count_matches_oracle(self, tmp_path, capsys):
+        rng = random.Random(31)
+        for case in range(21):
+            g = random_connected_graph(rng)
+            if case % 3 == 0:
+                g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+            path = tmp_path / f"g{case}.stp"
+            path.write_text(write_stp(g))
+            want = f"{len(brute_force_minimal_steiner(g))}\n"
+            for extra in ([], ["--no-simplify"]):
+                assert cli.main(["count", "--input", str(path), *extra]) == 0
+                assert capsys.readouterr().out == want, (case, extra)
+
     def test_simplify_writes_valid_stp(self, tmp_path):
         chain = (
             "SECTION Graph\nNodes 4\nEdges 3\n"
@@ -176,6 +179,25 @@ class TestOtherSubcommands:
         assert mapping["replacements"] == [[0, 1, 2]]
         assert mapping["removed_loops"] == []
 
+    def test_simplify_writes_decimal_weights(self, tmp_path):
+        chain = (
+            "SECTION Graph\nNodes 4\nEdges 4\n"
+            "E 1 2 1.5\nE 2 3 0.25\nE 3 4 2\nE 1 4 0.5\nEND\n"
+            "SECTION Terminals\nTerminals 2\nT 1\nT 4\nEND\nEOF\n"
+        )
+        src = tmp_path / "chain.stp"
+        src.write_text(chain)
+        proc = run_cli("simplify", "--input", str(src))
+        assert proc.returncode == 0
+        assert "E 1 4 3.75" in proc.stdout
+        simplified, _ = simplify(parse_stp(chain))
+        reread = parse_stp(proc.stdout)
+
+        def input_units(g):
+            return [(u, v, Fraction(w, g.cost_scale)) for u, v, w in g.edges]
+
+        assert input_units(reread) == input_units(simplified)
+
     def test_seeds_jsonl(self, tri_path):
         proc = run_cli("seeds", "--input", tri_path, "--seeds", "2")
         assert proc.returncode == 0
@@ -190,18 +212,18 @@ class TestOtherSubcommands:
         assert levels == 3
         assert len(lines) == count + 1
 
-    def test_build_does_not_traverse(self, tri_path, tmp_path, monkeypatch, capsys):
-        flags = ["--input", tri_path, "--theta", "inf", "--exact"]
-        dump = tmp_path / "dump.txt"
-        assert cli.main(["enumerate", *flags, "--dump-bdd", str(dump)]) == 0
-        capsys.readouterr()
+    def test_build_does_not_traverse(self, tri_path, monkeypatch, capsys):
+        want = pipeline.build_diagram(
+            parse_stp(TRIANGLE_STP),
+            pipeline.RunConfig(theta=math.inf, use_seeds=False, use_simplify=False),
+        ).reduced.dump()
 
         def no_traversal(*args, **kwargs):
             raise AssertionError("build traversed the diagram")
 
         monkeypatch.setattr(pipeline, "enumerate_trees", no_traversal)
-        assert cli.main(["build", *flags]) == 0
-        assert capsys.readouterr().out == dump.read_text()
+        assert cli.main(["build", "--input", tri_path, "--theta", "inf", "--exact"]) == 0
+        assert capsys.readouterr().out == want
 
     def test_oracle_theta(self, tri_path):
         proc = run_cli("oracle", "--input", tri_path, "--theta", "2")
@@ -260,13 +282,14 @@ class TestOtherSubcommands:
             ('{"cost": 1}', NOT_A_TREE_RECORD),
             ("[1, 2]", NOT_A_TREE_RECORD),
             ('{"edges": [[1, 2, 3]]}', "edge [1, 2, 3] is not a [u, v] pair"),
+            ('{"edges": [[true, 2], [2, 3]]}', "edge [true, 2] is not a [u, v] pair"),
             ('{"edges": [[1, 2], [2,', "invalid JSON"),
             ('{"edge_indices": [[0]]}', "edge index [0] is not an integer"),
             ('{"edge_indices": [2.9]}', "edge index 2.9 is not an integer"),
         ],
         ids=[
-            "no_edges", "not_an_object", "triple", "truncated", "nested_index",
-            "fractional_index",
+            "no_edges", "not_an_object", "triple", "bool_endpoint", "truncated",
+            "nested_index", "fractional_index",
         ],
     )
     def test_seeds_from_file_malformed_record_is_3(

@@ -235,7 +235,7 @@ class TestMerging:
             g = random_connected_graph(rng, max_vertices=6, max_edges=10)
             order = order_edges(g)
             merged = construct_bdd(g, order)
-            plain = construct_bdd(g, order, merge_nodes=False)
+            plain = reference_construct_bdd(g, order, merge_nodes=False)
             assert decoded_subsets(merged) == decoded_subsets(plain)
             assert merged.node_count <= plain.node_count
 
@@ -247,7 +247,7 @@ class TestMerging:
         assert order.permutation[:2] == (0, 1)
         merged = construct_bdd(g, order)
         assert len(merged.levels[3]) == 1
-        plain = construct_bdd(g, order, merge_nodes=False)
+        plain = reference_construct_bdd(g, order, merge_nodes=False)
         assert len(plain.levels[3]) == 2
         assert decoded_subsets(merged) == decoded_subsets(plain) == {
             frozenset({0, 2, 3}),

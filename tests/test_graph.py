@@ -134,8 +134,11 @@ class TestParse:
 
     def test_roundtrip_with_scale(self):
         g = Graph(2, ((1, 2, 3),), frozenset({1, 2}), cost_scale=2)
-        assert "E 1 2 3/2" in write_stp(g)
+        assert "E 1 2 1.5" in write_stp(g)
         assert parse_stp(write_stp(g)).edges == ((1, 2, 3),)
+        # a weight with no exact decimal keeps its fraction
+        g = Graph(2, ((1, 2, 4),), frozenset({1, 2}), cost_scale=3)
+        assert "E 1 2 4/3" in write_stp(g)
 
 
     def test_repeated_weight_tokens_match_per_edge_fractions(self):

@@ -125,13 +125,13 @@ class TestEnumerate:
             red = reduce_bdd(build(g))
             want = [t.cost for t in brute_force_minimal_steiner(g)]
             for k in (1, 2, 5):
-                res = enumerate_trees(red, k=k, cap=max(k, len(want) + 1))
+                res = enumerate_trees(red, k=max(k, len(want) + 1))
                 got = sorted(t.cost for t in res.trees)[:k]
                 assert got == want[:k]
 
     def test_cap_truncates_keeping_cheapest(self, triangle_all_terminals):
         red = reduce_bdd(build(triangle_all_terminals))
-        res = enumerate_trees(red, k=1, cap=1)
+        res = enumerate_trees(red, k=1)
         assert res.truncated
         assert len(res.trees) == 1
         assert res.trees[0].cost == 2
@@ -139,7 +139,7 @@ class TestEnumerate:
     def test_default_cap_is_k(self, triangle):
         red = reduce_bdd(build(triangle))
         res = enumerate_trees(red, k=1)
-        # 2 trees, cap 1: the cost-3 tree is left out
+        # 2 trees, k 1: the cost-3 tree is left out
         assert [(t.cost, t.sorted_edges()) for t in res.trees] == [(2, (0, 1))]
         assert res.truncated
 
@@ -152,20 +152,19 @@ class TestEnumerate:
             for theta in (None, 5, 15):
                 within = [c for c in costs if theta is None or c <= theta]
                 red = reduce_bdd(build(g, theta))
-                for k in (1, 2, 3):
-                    for cap in (k, 10):
-                        res = enumerate_trees(red, k=k, theta=theta, cap=cap)
-                        if (
-                            [t.cost for t in res.trees] != within[:cap]
-                            or res.truncated != (len(within) > cap)
-                        ):
-                            bad.append((case, theta, k, cap))
+                for k in (1, 2, 3, 10):
+                    res = enumerate_trees(red, k=k, theta=theta)
+                    if (
+                        [t.cost for t in res.trees] != within[:k]
+                        or res.truncated != (len(within) > k)
+                    ):
+                        bad.append((case, theta, k))
         assert bad == []
 
     def test_cap_beyond_k_is_still_cheapest_first(self):
         # the second cost-28 tree needs a node's second-cheapest prefix
         g = grid_graph(3, 4, [1, 4, 9, 12])
-        res = enumerate_trees(reduce_bdd(build(g)), k=1, cap=10)
+        res = enumerate_trees(reduce_bdd(build(g)), k=10)
         want = [t.cost for t in brute_force_minimal_steiner(g)]
         assert want[:3] == [27, 28, 28]
         assert [t.cost for t in res.trees] == want[:10]
@@ -196,8 +195,6 @@ class TestEnumerate:
         red = reduce_bdd(build(triangle))
         with pytest.raises(TraversalError):
             enumerate_trees(red, k=0)
-        with pytest.raises(TraversalError):
-            enumerate_trees(red, k=5, cap=2)
 
     def test_empty_diagram(self, triangle):
         red = reduce_bdd(build(triangle, theta=1))
@@ -215,7 +212,7 @@ class TestEnumerate:
             g.terminals,
         )
         red = reduce_bdd(build(g))
-        runs = [enumerate_trees(red, k=7, cap=7) for _ in range(3)]
+        runs = [enumerate_trees(red, k=7) for _ in range(3)]
         first = [(t.cost, t.sorted_edges()) for t in runs[0].trees]
         for res in runs[1:]:
             assert [(t.cost, t.sorted_edges()) for t in res.trees] == first
