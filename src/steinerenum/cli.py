@@ -36,7 +36,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .frontier import NodeCapExceeded
+from .frontier import DEFAULT_NODE_CAP, NodeCapExceeded
 from .graph import Graph, GraphError, SteinerTree, order_edges, parse_stp, simplify, write_stp
 from .oracle import OracleError, brute_force_minimal_steiner
 from .pipeline import RunConfig, RunResult, build_diagram, resolve_theta, run
@@ -218,7 +218,7 @@ def _load_seed_file(path: str, g: Graph) -> tuple[frozenset[int], ...]:
                 for pair in rec["edges"]:
                     if not (
                         isinstance(pair, list) and len(pair) == 2
-                        and all(type(z) in (int, float) for z in pair)  # no bool
+                        and all(type(z) is int for z in pair)  # no float or bool
                     ):
                         raise GraphError(
                             f"{where}: edge {json.dumps(pair)} is not a [u, v] pair"
@@ -408,7 +408,7 @@ def _make_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="disable both preprocessing stages",
         )
-        p.add_argument("--node-cap", type=int, default=100_000_000)
+        p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
         p.add_argument("--seeds-from-file", default=None, help="JSONL seed trees")
         p.add_argument("--output", default=None)
         if name == "enumerate":
@@ -417,7 +417,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = add("count", _cmd_count, "print the exact tree count (unbounded)")
     p.add_argument("--no-simplify", action="store_true")
-    p.add_argument("--node-cap", type=int, default=100_000_000)
+    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
 
     p = add("oracle", _cmd_oracle, "brute-force reference enumeration")
     p.add_argument("--theta", type=str, default=None)

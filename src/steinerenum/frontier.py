@@ -47,22 +47,28 @@ class NodeCapExceeded(ConstructionError):
 class Bdd:
     """Layered diagram over an edge order.
 
-    Node ids 0 and 1 are the sinks; real nodes start at 2.  ``lo``/``hi``
-    give each node's arc targets, ``levels[i]`` lists the node ids whose
-    decision variable is the i-th ordered edge (1-based; ``levels[0]`` is
-    empty).  ``edge_order``/``edge_costs`` carry, per level, the original
-    edge index and its cost, so traversal needs no extra context.
-    ``root`` is 0 when no assignment survived construction or reduction.
+    Node ids 0 and 1 are the sinks; real nodes start at 2.  Ids are
+    contiguous per level and rise level by level, and every arc points to
+    a sink or to a later level.  ``lo``/``hi`` give each node's arc
+    targets, ``level_of`` each node's level, and ``levels[i]`` is the id
+    range whose decision variable is the i-th ordered edge (1-based;
+    ``levels[0]`` is empty).  ``edge_order``/``edge_costs`` carry, per
+    level, the original edge index and its cost, so traversal needs no
+    extra context.  ``root`` is 0 when no assignment survived
+    construction or reduction.
     """
 
-    level_count: int
     edge_order: tuple[int, ...]
     edge_costs: tuple[int, ...]
     root: int
     lo: tuple[int, ...]
     hi: tuple[int, ...]
     level_of: tuple[int, ...]
-    levels: tuple[tuple[int, ...], ...]
+    levels: tuple[range, ...]
+
+    @property
+    def level_count(self) -> int:
+        return len(self.edge_order)
 
     @property
     def node_count(self) -> int:
@@ -298,14 +304,12 @@ def construct_bdd(
 
     lo: list[int] = [-1, -1]
     hi: list[int] = [-1, -1]
-    levels: list[list[int]] = [[], [2]]  # the root 2 is level 1's node
+    levels: list[range] = [range(0), range(2, 3)]  # the root 2 is level 1
     states: list[tuple] = [()]
     costs: list[int] = [0]  # cheapest path cost into each node of a level
     for i in range(1, m + 1):
         c = search.steps[i].cost
         base = len(lo) + len(states)  # first id of level i+1
-        # ids of level i+1: levels and arcs share one int object per node
-        ids: list[int] = []
         nxt: list[tuple] = []
         nxt_costs: list[int] = []
         table: dict[tuple, int] = {}
@@ -315,13 +319,12 @@ def construct_bdd(
             # cheaper cost
             nid = table.get(child)
             if nid is None:
-                nid = base + len(ids)
+                nid = base + len(nxt)
                 if nid - 2 >= node_cap:
-                    sizes = [len(lvl) for lvl in levels[1:]] + [len(ids)]
+                    sizes = [len(lvl) for lvl in levels[1:]] + [len(nxt)]
                     raise NodeCapExceeded(
                         node_cap, i, sizes + [0] * (m - len(sizes))
                     )
-                ids.append(nid)
                 nxt.append(child)
                 nxt_costs.append(cost)
                 table[child] = nid
@@ -337,7 +340,7 @@ def construct_bdd(
             lo.append(node(to_lo, cost) if to_lo.__class__ is tuple else to_lo)
             hi.append(node(to_hi, cost + c) if to_hi.__class__ is tuple else to_hi)
         if i < m:
-            levels.append(ids)
+            levels.append(range(base, base + len(nxt)))
         states, costs = nxt, nxt_costs
 
     # any state surviving past the last level is impossible on connected
@@ -345,7 +348,6 @@ def construct_bdd(
     assert not states, "non-sink state escaped the final level"
 
     return Bdd(
-        level_count=m,
         edge_order=tuple(order.permutation),
         edge_costs=tuple(g.edges[idx][2] for idx in order.permutation),
         root=2,
@@ -354,5 +356,5 @@ def construct_bdd(
         level_of=(0, 0) + tuple(
             level for level, ids in enumerate(levels) for _ in ids
         ),
-        levels=tuple(tuple(ids) for ids in levels),
+        levels=tuple(levels),
     )

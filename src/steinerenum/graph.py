@@ -315,18 +315,23 @@ class EdgeOrder:
     frontier_width: int
 
 
+def default_root(g: Graph) -> int:
+    """Terminal with the smallest degree, ties to the smallest id."""
+    if not g.terminals:
+        raise GraphError("graph has no terminals")
+    return min(g.terminals, key=lambda t: (g.degree(t), t))
+
+
 def order_edges(g: Graph, start: int | None = None) -> EdgeOrder:
     """Breadth-first edge order from a start vertex.
 
-    The default start is the terminal with the smallest degree (ties go
-    to the smallest id); incident edges are visited smallest-neighbor
-    first, then by edge index.  Keeping the traversal breadth-first from
-    one terminal keeps the frontier narrow on mesh-like instances.
+    The default start is ``default_root(g)``; incident edges are visited
+    smallest-neighbor first, then by edge index.  Keeping the traversal
+    breadth-first from one terminal keeps the frontier narrow on
+    mesh-like instances.
     """
     if start is None:
-        if not g.terminals:
-            raise GraphError("default ordering needs at least one terminal")
-        start = min(g.terminals, key=lambda t: (g.degree(t), t))
+        start = default_root(g)
     elif not 1 <= start <= g.vertex_count:
         raise GraphError(f"start vertex {start} out of range")
 

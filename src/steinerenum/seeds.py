@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, SteinerTree
+from .graph import Graph, GraphError, SteinerTree, default_root
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,6 @@ class UnreachableTerminal(GraphError):
     """A terminal cannot be reached from the seed root."""
 
 
-def default_root(g: Graph) -> int:
-    """Terminal with the smallest degree, ties to the smallest id."""
-    if not g.terminals:
-        raise GraphError("graph has no terminals")
-    return min(g.terminals, key=lambda t: (g.degree(t), t))
-
-
 def _dijkstra(g: Graph, root: int, banned: frozenset[int]):
     """Single-source shortest paths ignoring banned edges.
 
@@ -108,35 +101,15 @@ def _dijkstra(g: Graph, root: int, banned: frozenset[int]):
     return dist, pred_edge, pred_vertex
 
 
-def minimalize(edge_indices: set[int], g: Graph) -> set[int]:
-    """Strip non-terminal leaf edges until every leaf is a terminal."""
-    chosen = set(edge_indices)
-    while True:
-        deg: dict[int, int] = {}
-        incident: dict[int, list[int]] = {}
-        for idx in chosen:
-            u, v, _ = g.edges[idx]
-            for z in (u, v):
-                deg[z] = deg.get(z, 0) + 1
-                incident.setdefault(z, []).append(idx)
-        victims = [
-            v for v, d in deg.items() if d == 1 and v not in g.terminals
-        ]
-        if not victims:
-            return chosen
-        for v in victims:
-            chosen.discard(incident[v][0])
-
-
 def tosp_tree(
     g: Graph, root: int | None = None, banned: frozenset[int] = frozenset()
 ) -> SteinerTree:
     """Tree-of-shortest-paths heuristic.
 
     Union of the shortest root-to-terminal paths out of one predecessor
-    structure, then minimalized.  The union of paths from a single
-    predecessor tree is itself a tree, so minimalization is normally a
-    no-op; it stays as a guard for reuse with imported trees.
+    structure.  Paths out of one predecessor tree form a tree whose
+    leaves are the root or path ends, all of them terminals, so the
+    result is already a minimal Steiner tree.
     """
     if root is None:
         root = default_root(g)
@@ -152,7 +125,6 @@ def tosp_tree(
             idx = pred_edge[v]
             chosen.add(idx)
             v = g.other_end(idx, v)
-    chosen = minimalize(chosen, g)
     return SteinerTree(frozenset(chosen), g.tree_cost(chosen))
 
 

@@ -36,58 +36,45 @@ class EntryBudgetExceeded(TraversalError):
 def reduce_bdd(bdd: Bdd) -> Bdd:
     """Drop every node that cannot reach the 1-sink.
 
-    Works bottom-up: a node dies when both arcs lead to the 0-sink or to
-    dead nodes; arcs into dead nodes get redirected to the 0-sink.  The
+    A node is alive when either arc leads to the 1-sink or to a live
+    node; arcs into dead nodes get redirected to the 0-sink.  The
     surviving diagram has no node with both arcs at the 0-sink, every
     node reaches the 1-sink, and the set of root-to-1-sink paths (hence
-    the tree count) is untouched.  Node ids are renumbered compactly.
-    If the root itself dies the result has root 0 and no nodes.
+    the tree count) is untouched.  Since ids are contiguous per level
+    and arcs point to later levels, one pass over the ids from the last
+    decides liveness, and one pass over the levels renumbers the live
+    ids compactly, keeping that layout.  If the root itself dies the
+    result has root 0 and no nodes.
     """
-    n = len(bdd.lo)
-    new_lo = list(bdd.lo)
-    new_hi = list(bdd.hi)
-    alive = [False] * n
+    lo, hi = bdd.lo, bdd.hi
+    alive = [False] * len(lo)
     alive[ONE] = True
-    for level in range(bdd.level_count, 0, -1):
-        for nid in bdd.levels[level]:
-            if not alive[new_lo[nid]]:
-                new_lo[nid] = ZERO
-            if not alive[new_hi[nid]]:
-                new_hi[nid] = ZERO
-            alive[nid] = new_lo[nid] != ZERO or new_hi[nid] != ZERO
+    for nid in range(len(lo) - 1, 1, -1):
+        alive[nid] = alive[lo[nid]] or alive[hi[nid]]
 
     # dead nodes map to the 0-sink, which only a dead root still needs
-    remap = [ZERO] * n
+    remap = [ZERO] * len(lo)
     remap[ONE] = ONE
+    live: list[int] = []
+    levels = [range(0)]
     next_id = 2
-    levels: list[list[int]] = [[] for _ in range(bdd.level_count + 1)]
-    for level in range(1, bdd.level_count + 1):
-        for nid in bdd.levels[level]:
+    for ids in bdd.levels[1:]:
+        first = next_id
+        for nid in ids:
             if alive[nid]:
                 remap[nid] = next_id
-                levels[level].append(next_id)
+                live.append(nid)
                 next_id += 1
+        levels.append(range(first, next_id))
 
-    lo = [-1, -1]
-    hi = [-1, -1]
-    level_of = [0, 0]
-    for level in range(1, bdd.level_count + 1):
-        for nid in bdd.levels[level]:
-            if alive[nid]:
-                lo.append(remap[new_lo[nid]])
-                hi.append(remap[new_hi[nid]])
-                level_of.append(level)
-
-    root = remap[bdd.root]
     return Bdd(
-        level_count=bdd.level_count,
         edge_order=bdd.edge_order,
         edge_costs=bdd.edge_costs,
-        root=root,
-        lo=tuple(lo),
-        hi=tuple(hi),
-        level_of=tuple(level_of),
-        levels=tuple(tuple(lvl) for lvl in levels),
+        root=remap[bdd.root],
+        lo=(-1, -1) + tuple(remap[lo[nid]] for nid in live),
+        hi=(-1, -1) + tuple(remap[hi[nid]] for nid in live),
+        level_of=(0, 0) + tuple(bdd.level_of[nid] for nid in live),
+        levels=tuple(levels),
     )
 
 

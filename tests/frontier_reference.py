@@ -291,7 +291,6 @@ def reference_construct_bdd(
     assert not current, "non-sink state escaped the final level"
 
     return Bdd(
-        level_count=m,
         edge_order=tuple(order.permutation),
         edge_costs=tuple(g.edges[idx][2] for idx in order.permutation),
         root=root,
@@ -344,7 +343,6 @@ def reference_reduce_bdd(bdd: Bdd) -> Bdd:
     if root >= 2 and not alive[bdd.root]:
         root = ZERO
     return Bdd(
-        level_count=bdd.level_count,
         edge_order=bdd.edge_order,
         edge_costs=bdd.edge_costs,
         root=root,

@@ -283,12 +283,15 @@ class TestOtherSubcommands:
             ("[1, 2]", NOT_A_TREE_RECORD),
             ('{"edges": [[1, 2, 3]]}', "edge [1, 2, 3] is not a [u, v] pair"),
             ('{"edges": [[true, 2], [2, 3]]}', "edge [true, 2] is not a [u, v] pair"),
+            ('{"edges": [[1.0, 3]]}', "edge [1.0, 3] is not a [u, v] pair"),
+            ('{"edges": [[1.5, 3]]}', "edge [1.5, 3] is not a [u, v] pair"),
             ('{"edges": [[1, 2], [2,', "invalid JSON"),
             ('{"edge_indices": [[0]]}', "edge index [0] is not an integer"),
             ('{"edge_indices": [2.9]}', "edge index 2.9 is not an integer"),
         ],
         ids=[
-            "no_edges", "not_an_object", "triple", "bool_endpoint", "truncated",
+            "no_edges", "not_an_object", "triple", "bool_endpoint",
+            "float_endpoint", "fractional_endpoint", "truncated",
             "nested_index", "fractional_index",
         ],
     )

@@ -342,6 +342,41 @@ class TestAgainstThreePredicateStep:
                 states = list(dict.fromkeys(nxt))
 
 
+class TestLayout:
+    def test_levels_are_contiguous_id_ranges(self):
+        """Each level is one run of ids, the runs rise level by level and
+        every arc points to a sink or a larger id, in constructed,
+        reduced and unmerged diagrams alike; reduce_bdd decides liveness
+        in one pass over the ids from the last, which relies on this."""
+        rng = random.Random(23)
+        for n in range(150):
+            g = random_connected_graph(rng, max_vertices=6, max_edges=10)
+            if n % 3 == 0:
+                g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+            order = order_edges(g)
+            for theta in (None, 5, 20):
+                bdd = construct_bdd(g, order, theta)
+                plain = reference_construct_bdd(
+                    g, order, theta, merge_nodes=False
+                )
+                for d, ranged in (
+                    (bdd, True), (reduce_bdd(bdd), True), (plain, False)
+                ):
+                    assert len(d.levels) == d.level_count + 1
+                    assert not d.levels[0]
+                    ids = [nid for lvl in d.levels[1:] for nid in lvl]
+                    assert ids == list(range(2, len(d.lo)))
+                    assert d.level_of == (0, 0) + tuple(
+                        level for level, lvl in enumerate(d.levels)
+                        for _ in lvl
+                    )
+                    for nid in ids:
+                        for t in (d.lo[nid], d.hi[nid]):
+                            assert t in (ZERO, ONE) or t > nid
+                    if ranged:
+                        assert all(type(lvl) is range for lvl in d.levels)
+
+
 class TestCapacityAndValidation:
     def test_node_cap(self):
         g = Graph(

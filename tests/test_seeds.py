@@ -20,14 +20,35 @@ from steinerenum.seeds import (
     SeedSelection,
     _dijkstra,
     default_root,
-    minimalize,
 )
 from .conftest import random_connected_graph
 
 
 # -- test-only reference: seed selection with a separate connectivity
 # search before each perturbed shortest-path tree, as it stood before
-# select_seeds built each tree from the search that checks reachability
+# select_seeds built each tree from the search that checks reachability,
+# and with the leaf-stripping pass that tosp_tree dropped as a no-op on
+# its own output (test_matches_reference_with_retries pins that claim)
+
+
+def minimalize(edge_indices: set[int], g: Graph) -> set[int]:
+    """Strip non-terminal leaf edges until every leaf is a terminal."""
+    chosen = set(edge_indices)
+    while True:
+        deg: dict[int, int] = {}
+        incident: dict[int, list[int]] = {}
+        for idx in chosen:
+            u, v, _ = g.edges[idx]
+            for z in (u, v):
+                deg[z] = deg.get(z, 0) + 1
+                incident.setdefault(z, []).append(idx)
+        victims = [
+            v for v, d in deg.items() if d == 1 and v not in g.terminals
+        ]
+        if not victims:
+            return chosen
+        for v in victims:
+            chosen.discard(incident[v][0])
 
 
 def reference_tosp_tree(
@@ -138,15 +159,6 @@ class TestTosp:
             4, ((1, 2, 1), (1, 3, 1), (2, 3, 1), (3, 4, 1)), frozenset({1, 4})
         )
         assert default_root(g) == 4
-
-
-class TestMinimalize:
-    def test_strips_dangling_chain(self):
-        g = Graph(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1)), frozenset({1, 3}))
-        assert minimalize({0, 1, 2}, g) == {0, 1}
-
-    def test_keeps_minimal_tree(self, square):
-        assert minimalize({0, 1}, square) == {0, 1}
 
 
 class TestSelectSeeds:
