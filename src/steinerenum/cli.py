@@ -131,13 +131,23 @@ def _seed_args(p: argparse.ArgumentParser):
     )
 
 
+def _fraction(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise GraphError(f"{flag} {text} has a zero denominator") from None
+
+
 def _parse_theta(args) -> tuple[Fraction | float | None, Fraction | None]:
     theta = None
     ratio = None
     if args.theta is not None:
-        theta = float("inf") if args.theta.lower() == "inf" else Fraction(args.theta)
+        theta = (
+            float("inf") if args.theta.lower() == "inf"
+            else _fraction("--theta", args.theta)
+        )
     if getattr(args, "theta_ratio", None) is not None:
-        ratio = Fraction(args.theta_ratio)
+        ratio = _fraction("--theta-ratio", args.theta_ratio)
     return theta, ratio
 
 
@@ -427,7 +437,15 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
+    parser = _make_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "seeds_from_file", None):
+        # both flags promise a search of the whole graph
+        for flag, on in (("--exact", args.exact), ("--no-seeds", args.no_seeds)):
+            if on:
+                parser.error(
+                    f"argument --seeds-from-file: not allowed with argument {flag}"
+                )
     try:
         return args.fn(args)
     except (GraphError, OracleError, ValueError) as exc:

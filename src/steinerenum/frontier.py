@@ -49,13 +49,13 @@ class Bdd:
 
     Node ids 0 and 1 are the sinks; real nodes start at 2.  Ids are
     contiguous per level and rise level by level, and every arc points to
-    a sink or to a later level.  ``lo``/``hi`` give each node's arc
-    targets, ``level_of`` each node's level, and ``levels[i]`` is the id
-    range whose decision variable is the i-th ordered edge (1-based;
-    ``levels[0]`` is empty).  ``edge_order``/``edge_costs`` carry, per
-    level, the original edge index and its cost, so traversal needs no
-    extra context.  ``root`` is 0 when no assignment survived
-    construction or reduction.
+    a sink or to the next level, so a node's level is its depth: the
+    root is on level 1.  ``lo``/``hi`` give each node's arc targets, and
+    ``levels[i]`` is the id range whose decision variable is the i-th
+    ordered edge (1-based; ``levels[0]`` is empty).
+    ``edge_order``/``edge_costs`` carry, per level, the original edge
+    index and its cost, so traversal needs no extra context.  ``root``
+    is 0 when no assignment survived construction or reduction.
     """
 
     edge_order: tuple[int, ...]
@@ -63,7 +63,6 @@ class Bdd:
     root: int
     lo: tuple[int, ...]
     hi: tuple[int, ...]
-    level_of: tuple[int, ...]
     levels: tuple[range, ...]
 
     @property
@@ -80,11 +79,9 @@ class Bdd:
     def dump(self) -> str:
         """Text form: header then one ``id level lo hi`` line per node."""
         out = [f"bdd {self.node_count} {self.level_count}"]
-        for lvl in self.levels[1:]:
-            for nid in lvl:
-                out.append(
-                    f"{nid} {self.level_of[nid]} {self.lo[nid]} {self.hi[nid]}"
-                )
+        for level, ids in enumerate(self.levels):
+            for nid in ids:
+                out.append(f"{nid} {level} {self.lo[nid]} {self.hi[nid]}")
         return "\n".join(out) + "\n"
 
 
@@ -131,24 +128,19 @@ class FrontierSearch:
         if len(order.permutation) != len(g.edges):
             raise GraphError("edge order does not match the graph")
         terms = g.terminals
-        first_pos: dict[int, int] = {}
-        last_pos: dict[int, int] = {}
-        for i, idx in enumerate(order.permutation, 1):
-            u, v, _ = g.edges[idx]
-            for z in (u, v):
-                first_pos.setdefault(z, i)
-                last_pos[z] = i
-        all_seen_at = max(first_pos.get(t, len(g.edges) + 1) for t in terms)
+        unseen = set(terms)
         remaining = [len(a) for a in g.adjacency]
         self.steps: list[_Step | None] = [None]
         for i, idx in enumerate(order.permutation, 1):
             u, v, c = g.edges[idx]
-            entering = [z for z in dict.fromkeys((u, v)) if first_pos[z] == i]
-            vertices = sorted(order.frontier_sets[i - 1]) + entering
+            before, after = order.frontier_sets[i - 1], order.frontier_sets[i]
+            entering = [z for z in dict.fromkeys((u, v)) if z not in before]
+            unseen.difference_update((u, v))
+            vertices = sorted(before) + entering
             at = {z: j for j, z in enumerate(vertices)}
             iu, iv = at[u], at[v]
             ends = dict.fromkeys((iu, iv))
-            kept = tuple(sorted(order.frontier_sets[i]))
+            kept = tuple(sorted(after))
             keep = tuple(at[f] for f in kept)
             self.steps.append(_Step(
                 cost=c,
@@ -158,7 +150,7 @@ class FrontierSearch:
                 undecided=tuple(remaining[z] for z in vertices),
                 leaving=tuple(
                     j for j in ends
-                    if last_pos[vertices[j]] == i and vertices[j] not in terms
+                    if vertices[j] not in after and vertices[j] not in terms
                 ),
                 nonterminal_ends=tuple(
                     j for j in ends if vertices[j] not in terms
@@ -172,7 +164,7 @@ class FrontierSearch:
                 dropped=tuple(
                     (j, z) for j, z in enumerate(vertices) if j not in keep
                 ),
-                all_seen=i >= all_seen_at,
+                all_seen=not unseen,
             ))
             remaining[u] -= 1
             remaining[v] -= 1
@@ -353,8 +345,5 @@ def construct_bdd(
         root=2,
         lo=tuple(lo),
         hi=tuple(hi),
-        level_of=(0, 0) + tuple(
-            level for level, ids in enumerate(levels) for _ in ids
-        ),
         levels=tuple(levels),
     )

@@ -210,6 +210,8 @@ def parse_stp(text: str) -> Graph:
                         f = Fraction(tokens[3])
                 except ValueError:
                     bad("E line has a non-numeric field", ln)
+                except ZeroDivisionError:
+                    bad(f"weight {tokens[3]} has a zero denominator", ln)
                 if w is None:
                     if f < 0:
                         bad(f"negative weight {tokens[3]}", ln)
@@ -357,23 +359,18 @@ def order_edges(g: Graph, start: int | None = None) -> EdgeOrder:
     if len(perm) != len(g.edges):
         raise GraphError("edge order did not reach every edge; graph disconnected")
 
-    first_pos: dict[int, int] = {}
-    last_pos: dict[int, int] = {}
-    for i, idx in enumerate(perm, 1):
-        u, v, _ = g.edges[idx]
-        for z in (u, v):
-            first_pos.setdefault(z, i)
-            last_pos[z] = i
-
+    # a vertex is on the frontier from its first edge until its last
+    undecided = [len(a) for a in g.adjacency]
     sets: list[frozenset[int]] = [frozenset()]
     live: set[int] = set()
-    for i, idx in enumerate(perm, 1):
+    for idx in perm:
         u, v, _ = g.edges[idx]
+        undecided[u] -= 1
+        undecided[v] -= 1
         for z in (u, v):
-            if first_pos[z] == i:
+            if undecided[z]:
                 live.add(z)
-        for z in (u, v):
-            if last_pos[z] == i:
+            else:
                 live.discard(z)
         sets.append(frozenset(live))
     width = max((len(s) for s in sets), default=0)

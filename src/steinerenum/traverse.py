@@ -41,9 +41,10 @@ def reduce_bdd(bdd: Bdd) -> Bdd:
     surviving diagram has no node with both arcs at the 0-sink, every
     node reaches the 1-sink, and the set of root-to-1-sink paths (hence
     the tree count) is untouched.  Since ids are contiguous per level
-    and arcs point to later levels, one pass over the ids from the last
-    decides liveness, and one pass over the levels renumbers the live
-    ids compactly, keeping that layout.  If the root itself dies the
+    and arcs point to a sink or to the next level, one pass over the ids
+    from the last decides liveness, and one pass over the levels
+    renumbers the live ids compactly, keeping that layout: arcs that
+    stay keep their next-level target.  If the root itself dies the
     result has root 0 and no nodes.
     """
     lo, hi = bdd.lo, bdd.hi
@@ -73,28 +74,20 @@ def reduce_bdd(bdd: Bdd) -> Bdd:
         root=remap[bdd.root],
         lo=(-1, -1) + tuple(remap[lo[nid]] for nid in live),
         hi=(-1, -1) + tuple(remap[hi[nid]] for nid in live),
-        level_of=(0, 0) + tuple(bdd.level_of[nid] for nid in live),
         levels=tuple(levels),
     )
 
 
 def count_trees(bdd: Bdd) -> int:
-    """Exact number of root-to-1-sink paths (arbitrary precision)."""
-    if bdd.root == ZERO:
-        return 0
-    ways: dict[int, int] = {bdd.root: 1}
-    total = 0
-    for level in range(1, bdd.level_count + 1):
-        for nid in bdd.levels[level]:
-            w = ways.pop(nid, 0)
-            if not w:
-                continue
-            for t in (bdd.lo[nid], bdd.hi[nid]):
-                if t == ONE:
-                    total += w
-                elif t >= 2:
-                    ways[t] = ways.get(t, 0) + w
-    return total
+    """Exact number of root-to-1-sink paths (arbitrary precision), in
+    one pass over the ids from the last, as arcs point to later ids:
+    ``ways[ONE] = 1``, ``ways[ZERO] = 0``."""
+    lo, hi = bdd.lo, bdd.hi
+    ways = [0] * len(lo)
+    ways[ONE] = 1
+    for nid in range(len(lo) - 1, 1, -1):
+        ways[nid] = ways[lo[nid]] + ways[hi[nid]]
+    return ways[bdd.root]
 
 
 @dataclass(frozen=True)
@@ -148,8 +141,9 @@ def enumerate_trees(
     way when its own ``f`` is within theta.  The entries partition the
     remaining paths, so trees come out in ascending cost and theta
     prunes exactly.  Equal keys pop in push order, which makes the
-    outcome independent of hash ordering.  ``entry_budget`` bounds the
-    heap size.
+    outcome independent of hash ordering.  Every arc leads to the next
+    level, so an entry carries its node's level and each step down adds
+    one.  ``entry_budget`` bounds the heap size.
     """
     if k < 1:
         raise TraversalError("k must be at least 1")
@@ -162,30 +156,30 @@ def enumerate_trees(
     if bdd.root == ZERO or best[bdd.root] > limit:
         return EnumerationResult((), 0, False, 0)
 
-    # entry: (f, push counter, node, path); a path is a cons cell
+    # entry: (f, push counter, node, level, path); a path is a cons cell
     # (edge index, parent) per included edge, shared between entries
-    heap: list[tuple] = [(best[bdd.root], 0, bdd.root, None)]
+    heap: list[tuple] = [(best[bdd.root], 0, bdd.root, 1, None)]
     pushes = 1
     peak = 1
     trees: list[SteinerTree] = []
     while heap and len(trees) < k:
-        f, _, nid, path = heapq.heappop(heap)
+        f, _, nid, level, path = heapq.heappop(heap)
         prefix = f - best[nid]
         while nid != ONE:
-            level = bdd.level_of[nid]
             edge_cost = bdd.edge_costs[level - 1]
             lo, hi = bdd.lo[nid], bdd.hi[nid]
             lo_f = prefix + best[lo]
             hi_f = prefix + edge_cost + best[hi]
             included = (bdd.edge_order[level - 1], path)
+            level += 1
             if lo_f <= hi_f:
                 if hi_f <= limit:
-                    heapq.heappush(heap, (hi_f, pushes, hi, included))
+                    heapq.heappush(heap, (hi_f, pushes, hi, level, included))
                     pushes += 1
                 nid = lo
             else:
                 if lo_f <= limit:
-                    heapq.heappush(heap, (lo_f, pushes, lo, path))
+                    heapq.heappush(heap, (lo_f, pushes, lo, level, path))
                     pushes += 1
                 nid, prefix, path = hi, prefix + edge_cost, included
         edges = []

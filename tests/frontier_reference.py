@@ -231,7 +231,6 @@ def reference_construct_bdd(
 
     lo: list[int] = [-1, -1]
     hi: list[int] = [-1, -1]
-    level_of: list[int] = [0, 0]
     # minimum path cost into each node, over the paths merged into it
     node_cost: list[int] = [0, 0]
     levels: list[list[int]] = [[] for _ in range(m + 1)]
@@ -239,7 +238,6 @@ def reference_construct_bdd(
     root = 2
     lo.append(ZERO)
     hi.append(ZERO)
-    level_of.append(1)
     node_cost.append(0)
     levels[1].append(root)
 
@@ -276,7 +274,6 @@ def reference_construct_bdd(
                     )
                 lo.append(ZERO)
                 hi.append(ZERO)
-                level_of.append(i + 1)
                 node_cost.append(cost)
                 levels[i + 1].append(new_id)
                 if merge_nodes:
@@ -296,7 +293,6 @@ def reference_construct_bdd(
         root=root,
         lo=tuple(lo),
         hi=tuple(hi),
-        level_of=tuple(level_of),
         levels=tuple(tuple(lvl) for lvl in levels),
     )
 
@@ -331,13 +327,11 @@ def reference_reduce_bdd(bdd: Bdd) -> Bdd:
 
     lo = [-1, -1]
     hi = [-1, -1]
-    level_of = [0, 0]
     for level in range(1, bdd.level_count + 1):
         for nid in bdd.levels[level]:
             if alive[nid]:
                 lo.append(remap[new_lo[nid]])
                 hi.append(remap[new_hi[nid]])
-                level_of.append(level)
 
     root = remap.get(bdd.root, ZERO) if bdd.root >= 2 else bdd.root
     if root >= 2 and not alive[bdd.root]:
@@ -348,6 +342,5 @@ def reference_reduce_bdd(bdd: Bdd) -> Bdd:
         root=root,
         lo=tuple(lo),
         hi=tuple(hi),
-        level_of=tuple(level_of),
         levels=tuple(tuple(lvl) for lvl in levels),
     )

@@ -4,9 +4,11 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +133,46 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_2(self):
         assert run_cli("frobnicate").returncode == 2
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("enumerate", "--exact"),
+            ("enumerate", "--no-seeds"),
+            ("build", "--exact"),
+            ("build", "--no-seeds"),
+        ],
+    )
+    def test_seeds_from_file_with_full_search_is_2(
+        self, tri_path, tmp_path, command, flag
+    ):
+        # both flags promise a search of the whole graph, which a seed
+        # file would silently narrow to its trees
+        seeds = tmp_path / "seeds.jsonl"
+        seeds.write_text('{"edges": [[1, 3]]}\n')
+        proc = run_cli(
+            command, "--input", tri_path, "--theta", "inf", flag,
+            "--seeds-from-file", str(seeds),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"--seeds-from-file: not allowed with argument {flag}" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("enumerate", "--theta", "1/0"),
+            ("enumerate", "--theta-ratio", "1/0"),
+            ("oracle", "--theta", "1/0"),
+        ],
+        ids=["theta", "theta_ratio", "oracle_theta"],
+    )
+    def test_zero_denominator_flag_is_3(self, tri_path, args):
+        command, flag, value = args
+        proc = run_cli(command, "--input", tri_path, flag, value)
+        assert proc.returncode == 3
+        assert f"error: {flag} 1/0 has a zero denominator" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestOtherSubcommands:
@@ -343,3 +385,19 @@ class TestDeterminism:
             assert proc.returncode == 0
             outputs.add(proc.stdout)
         assert len(outputs) == 1
+
+
+def test_readme_quick_start(tmp_path, capsys):
+    """The README's quick-start command prints exactly what it shows."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8"
+    )
+    stp = re.search(r"`tri\.stp`:\n\n```\n(.*?)```", readme, re.S).group(1)
+    command, shown = re.search(
+        r"```sh\n\$ steinerenum (enumerate --input tri\.stp [^\n]*)\n(.*?)```",
+        readme, re.S,
+    ).groups()
+    (tmp_path / "tri.stp").write_text(stp)
+    args = [str(tmp_path / a) if a == "tri.stp" else a for a in command.split()]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == shown

@@ -28,18 +28,18 @@ def decoded_subsets(bdd):
     """Every root-to-1-sink path as a frozenset of original edge indices."""
     found = []
 
-    def walk(nid, chosen):
+    def walk(nid, level, chosen):
         if nid == ONE:
             found.append(frozenset(chosen))
             return
         if nid == ZERO:
             return
-        edge = bdd.edge_order[bdd.level_of[nid] - 1]
-        walk(bdd.lo[nid], chosen)
-        walk(bdd.hi[nid], chosen | {edge})
+        edge = bdd.edge_order[level - 1]
+        walk(bdd.lo[nid], level + 1, chosen)
+        walk(bdd.hi[nid], level + 1, chosen | {edge})
 
     if bdd.root != ZERO:
-        walk(bdd.root, frozenset())
+        walk(bdd.root, 1, frozenset())
     assert len(found) == len(set(found)), "duplicate subsets in the diagram"
     return set(found)
 
@@ -345,9 +345,11 @@ class TestAgainstThreePredicateStep:
 class TestLayout:
     def test_levels_are_contiguous_id_ranges(self):
         """Each level is one run of ids, the runs rise level by level and
-        every arc points to a sink or a larger id, in constructed,
-        reduced and unmerged diagrams alike; reduce_bdd decides liveness
-        in one pass over the ids from the last, which relies on this."""
+        every arc from levels[i] points to a sink or into levels[i+1], in
+        constructed, reduced and unmerged diagrams alike.  reduce_bdd and
+        count_trees decide in one pass over the ids from the last, and
+        the traversal counts a node's level as its depth; all three rely
+        on this."""
         rng = random.Random(23)
         for n in range(150):
             g = random_connected_graph(rng, max_vertices=6, max_edges=10)
@@ -366,13 +368,11 @@ class TestLayout:
                     assert not d.levels[0]
                     ids = [nid for lvl in d.levels[1:] for nid in lvl]
                     assert ids == list(range(2, len(d.lo)))
-                    assert d.level_of == (0, 0) + tuple(
-                        level for level, lvl in enumerate(d.levels)
-                        for _ in lvl
-                    )
-                    for nid in ids:
-                        for t in (d.lo[nid], d.hi[nid]):
-                            assert t in (ZERO, ONE) or t > nid
+                    below = list(d.levels[2:]) + [()]
+                    for lvl, nxt in zip(d.levels[1:], below):
+                        for nid in lvl:
+                            for t in (d.lo[nid], d.hi[nid]):
+                                assert t in (ZERO, ONE) or t in nxt
                     if ranged:
                         assert all(type(lvl) is range for lvl in d.levels)
 
@@ -424,7 +424,7 @@ class TestCapacityAndValidation:
         for line in lines[1:]:
             nid, level, lo, hi = map(int, line.split())
             assert bdd.lo[nid] == lo and bdd.hi[nid] == hi
-            assert bdd.level_of[nid] == level
+            assert nid in bdd.levels[level]
 
 
 # name, graph, order start, theta, node count, sha256 of Bdd.dump()

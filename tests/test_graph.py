@@ -115,6 +115,12 @@ class TestParse:
             parse_stp(text)
         assert exc.value.line == 3
 
+    def test_zero_denominator_weight(self):
+        text = TRIANGLE_STP.replace("E 1 3 3", "E 1 3 1/0")
+        with pytest.raises(ParseError, match="zero denominator") as exc:
+            parse_stp(text)
+        assert exc.value.line == TRIANGLE_STP.splitlines().index("E 1 3 3") + 1
+
     def test_missing_graph_section(self):
         with pytest.raises(ParseError, match="Graph section"):
             parse_stp("SECTION Terminals\nT 1\nEND\nEOF\n")

@@ -18,7 +18,7 @@ from steinerenum import (
 )
 from steinerenum.frontier import ONE, ZERO
 from steinerenum.traverse import EntryBudgetExceeded
-from .conftest import grid_graph, random_connected_graph
+from .conftest import grid_graph, random_connected_graph, subdivide_edge
 
 
 def build(g, theta=None):
@@ -160,6 +160,23 @@ class TestEnumerate:
                     ):
                         bad.append((case, theta, k))
         assert bad == []
+
+    def test_dead_nodes_change_nothing(self):
+        """The traversal gives the same answer on a constructed diagram,
+        dead nodes included, as on its reduction."""
+        rng = random.Random(41)
+        for case in range(600):
+            g = random_connected_graph(rng)
+            if case % 3 == 0:
+                g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+            for theta in (None, 0, 5, 20):
+                bdd = build(g, theta)
+                red = reduce_bdd(bdd)
+                for k in (1, 3, 50):
+                    got = enumerate_trees(bdd, k=k, theta=theta)
+                    want = enumerate_trees(red, k=k, theta=theta)
+                    assert got.trees == want.trees, (case, theta, k)
+                    assert got.truncated == want.truncated, (case, theta, k)
 
     def test_cap_beyond_k_is_still_cheapest_first(self):
         # the second cost-28 tree needs a node's second-cheapest prefix
