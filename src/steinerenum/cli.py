@@ -10,7 +10,7 @@ Usage::
     steinerenum enumerate --input g.stp [--theta T | --theta-ratio R]
                           [--k K] [--output out.jsonl] [--report r.json]
                           [--no-seeds] [--no-simplify] [--exact] ...
-    steinerenum count     --input g.stp [--no-simplify]
+    steinerenum count     --input g.stp [--no-simplify] [--node-cap N]
     steinerenum oracle    --input g.stp [--theta T]
 
 Tree output is JSON lines, one tree per line, ascending cost::
@@ -136,6 +136,8 @@ def _fraction(flag: str, text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise GraphError(f"{flag} {text} has a zero denominator") from None
+    except ValueError:
+        raise GraphError(f"{flag} expects a number, got {text!r}") from None
 
 
 def _parse_theta(args) -> tuple[Fraction | float | None, Fraction | None]:

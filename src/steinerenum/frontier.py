@@ -91,14 +91,15 @@ class _Step:
 
     A state entering step i covers ``order.frontier_sets[i-1]``; with
     ``fresh`` appended it becomes the working sequence that every index
-    below points into.
+    below points into.  Only u and v can leave at step i, and a
+    component is sealed here when no kept entry carries its
+    representative: none of its vertices touches an undecided edge.
     """
 
     cost: int
     fresh: tuple[tuple[int, bool, int], ...]  # endpoints entering here
     iu: int
     iv: int
-    undecided: tuple[int, ...]  # per vertex: edge-ends not yet decided
     leaving: tuple[int, ...]  # non-terminal endpoints on their last edge
     nonterminal_ends: tuple[int, ...]
     others: tuple[tuple[int, bool], ...]  # (index, is a non-terminal)
@@ -116,10 +117,10 @@ class FrontierSearch:
     vertex of ``order.frontier_sets[i-1]`` in ascending vertex order.  A
     component's representative is its first frontier vertex, so equal
     tuples mean equal partitions, and the tuple is its own merge key.
-    Exact terminal counts, undecided edge-ends per component and the
-    path cost are not stored: the first two follow from the tuple and
-    the level, and the cost is the caller's concern.  ``branches``
-    decides one edge for one state, both ways, in a single pass.
+    Exact terminal counts and the path cost are not stored: the first
+    follows from the tuple and the level, and the cost is the caller's
+    concern.  ``branches`` decides one edge for one state, both ways, in
+    a single pass.
     """
 
     def __init__(self, g: Graph, order: EdgeOrder):
@@ -129,7 +130,6 @@ class FrontierSearch:
             raise GraphError("edge order does not match the graph")
         terms = g.terminals
         unseen = set(terms)
-        remaining = [len(a) for a in g.adjacency]
         self.steps: list[_Step | None] = [None]
         for i, idx in enumerate(order.permutation, 1):
             u, v, c = g.edges[idx]
@@ -147,7 +147,6 @@ class FrontierSearch:
                 fresh=tuple((z, z in terms, 0) for z in entering),
                 iu=iu,
                 iv=iv,
-                undecided=tuple(remaining[z] for z in vertices),
                 leaving=tuple(
                     j for j in ends
                     if vertices[j] not in after and vertices[j] not in terms
@@ -166,22 +165,22 @@ class FrontierSearch:
                 ),
                 all_seen=not unseen,
             ))
-            remaining[u] -= 1
-            remaining[v] -= 1
 
     def branches(self, state: tuple, i: int, include: bool) -> tuple:
         """Targets ``(lo, hi)`` of edge i from ``state``, each ZERO, ONE
         or the successor state.
 
-        Exclusion dies when it strands a terminal-bearing component (its
-        last undecided edge-ends are this edge) or makes a leaving
-        non-terminal a leaf.  Inclusion, skipped unless ``include`` (the
-        caller's cost bound), dies on a cycle, on a leaving non-terminal
-        that would end as a leaf, or when it seals off some but not all
-        terminals.  It completes a minimal Steiner tree (ONE) when the
-        joined component holds every terminal, no non-terminal in it is a
-        leaf and no other component holds edges; earlier exits were
-        screened, so checking the live frontier suffices.
+        Exclusion dies when it strands a terminal-bearing endpoint
+        component (no kept entry carries its representative, so it is
+        sealed) or makes a leaving non-terminal a leaf.  Inclusion,
+        skipped unless ``include`` (the caller's cost bound), dies on a
+        cycle, on a leaving non-terminal that would end as a leaf, or
+        when it seals off some but not all terminals: both endpoint
+        components are sealed and one holds a terminal.  It completes a
+        minimal Steiner tree (ONE) when the joined component holds every
+        terminal, no non-terminal in it is a leaf and no other component
+        holds edges; earlier exits were screened, so checking the live
+        frontier suffices.
 
         Inclusion merges the endpoint components under the smaller
         representative (holding a terminal if either did) and bumps both
@@ -194,23 +193,20 @@ class FrontierSearch:
         iu, iv = step.iu, step.iv
         cu, tu, _ = ext[iu]
         cv, tv, _ = ext[iv]
-        # undecided edge-ends, this edge's included, of the endpoint
-        # components (an undecided edge inside one counts twice); only
-        # the rules for terminal-bearing components read them
-        und_u = und_v = 0
-        if tu or tv:
-            for (rep, _, _), r in zip(ext, step.undecided):
-                if rep == cu:
-                    und_u += r
-                elif rep == cv:
-                    und_v += r
         # leaving vertices that name their component, and the degrees of
         # the leaving non-terminals
         gone = [z for j, z in step.dropped if ext[j][0] == z]
         leaving = [ext[j][2] for j in step.leaving]
+        # an endpoint component is sealed when no kept entry carries its
+        # representative; a sealed component's representative has left,
+        # and only the rules for terminal-bearing components ask
+        sealed_u = sealed_v = False
+        if gone and (tu or tv):
+            live = {ext[j][0] for j in step.keep}
+            sealed_u = cu not in live
+            sealed_v = cv not in live
 
-        # with cu == cv, und_u counts both ends of this edge
-        if 1 in leaving or tu and und_u == (2 if cu == cv else 1) or tv and und_v == 1:
+        if 1 in leaving or tu and sealed_u or tv and sealed_v:
             lo = ZERO
         elif gone:
             lo = _renamed([ext[j] for j in step.keep], step.kept, gone)
@@ -227,7 +223,7 @@ class FrontierSearch:
         if holds_all:
             if _completes(ext, step, cu, cv):
                 return lo, ONE
-        elif (tu or tv) and und_u + und_v == 2:
+        elif (tu or tv) and sealed_u and sealed_v:
             return lo, ZERO
 
         m = cu if cu < cv else cv

@@ -58,6 +58,8 @@ class RunConfig:
             raise ValueError("theta and theta_ratio are mutually exclusive")
         if self.k < 1:
             raise ValueError("k must be at least 1")
+        if self.node_cap < 1:
+            raise ValueError("node_cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,6 @@ class RunResult:
     bdd_nodes_reduced: int
     peak_entries: int
     truncated: bool
-    seed_trees: tuple[SteinerTree, ...]
-    seeds_requested: int
     timing_ms: dict[str, float]
 
 
@@ -112,8 +112,7 @@ def resolve_theta(
 class Diagram:
     """Everything a run has before traversal: the reduced diagram and the
     constructed diagram's node count, the graph it was built on with the
-    maps back to input edge indices, the applied theta and the seed
-    trees."""
+    maps back to input edge indices and the applied theta."""
 
     nodes: int  # as constructed
     reduced: Bdd
@@ -121,8 +120,6 @@ class Diagram:
     edge_map: tuple[int, ...]  # preprocessed-graph edge -> input edge
     smap: SimplificationMap | None
     theta: int | None
-    seed_trees: tuple[SteinerTree, ...]
-    seeds_requested: int
     timing_ms: dict[str, float]
 
 
@@ -132,13 +129,10 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
         raise GraphError("enumeration needs at least two terminals")
 
     seed_trees: tuple[SteinerTree, ...] = ()
-    requested = 0
-
     if cfg.seed_trees is not None:
         seed_trees = tuple(
             SteinerTree(fs, g.tree_cost(fs)) for fs in cfg.seed_trees
         )
-        requested = len(seed_trees)
         union: set[int] = set()
         for t in seed_trees:
             union |= t.edges
@@ -146,7 +140,6 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
     elif cfg.use_seeds:
         selection = select_seeds(g, cfg.seeds, cfg.seed_root)
         seed_trees = selection.seed_trees
-        requested = selection.requested
         work, edge_map = selection.graph, selection.edge_map
     else:
         work, edge_map = g, tuple(range(len(g.edges)))
@@ -178,8 +171,6 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
         edge_map=edge_map,
         smap=smap,
         theta=theta,
-        seed_trees=seed_trees,
-        seeds_requested=requested,
         timing_ms={"construct": (t1 - t0) * 1000, "reduce": (t2 - t1) * 1000},
     )
 
@@ -213,7 +204,5 @@ def run(g: Graph, cfg: RunConfig = RunConfig()) -> RunResult:
         bdd_nodes_reduced=d.reduced.node_count,
         peak_entries=result.peak_entries,
         truncated=result.truncated,
-        seed_trees=d.seed_trees,
-        seeds_requested=d.seeds_requested,
         timing_ms=timing,
     )

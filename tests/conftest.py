@@ -69,6 +69,23 @@ def subdivide_edge(g: Graph, edge_idx: int, rng: random.Random) -> Graph:
     return Graph(nv, tuple(edges), g.terminals)
 
 
+def add_parallel_edge_and_loop(
+    g: Graph, rng: random.Random, loop_at_terminal: bool
+) -> Graph:
+    """Add a copy of a random edge (same or zero weight) and a self-loop,
+    each at a random position in the edge list.  The loop sits at a
+    terminal, or at a non-terminal when ``loop_at_terminal`` is false
+    and one exists."""
+    edges = list(g.edges)
+    u, v, w = rng.choice(edges)
+    edges.insert(rng.randrange(len(edges) + 1), (u, v, rng.choice((w, 0))))
+    others = sorted(set(range(1, g.vertex_count + 1)) - g.terminals)
+    pool = others if others and not loop_at_terminal else sorted(g.terminals)
+    z = rng.choice(pool)
+    edges.insert(rng.randrange(len(edges) + 1), (z, z, rng.randint(0, 10)))
+    return Graph(g.vertex_count, tuple(edges), g.terminals)
+
+
 def grid_graph(rows: int, cols: int, terminals, weight_seed: int = 7) -> Graph:
     """Grid with pseudo-random weights; vertex (r, c) is r*cols + c + 1."""
     rng = random.Random(weight_seed)

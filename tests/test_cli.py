@@ -159,20 +159,43 @@ class TestExitCodes:
         assert f"--seeds-from-file: not allowed with argument {flag}" in proc.stderr
 
     @pytest.mark.parametrize(
-        "args",
+        "args, message",
         [
-            ("enumerate", "--theta", "1/0"),
-            ("enumerate", "--theta-ratio", "1/0"),
-            ("oracle", "--theta", "1/0"),
+            (("enumerate", "--theta", "1/0"), "--theta 1/0 has a zero denominator"),
+            (
+                ("enumerate", "--theta-ratio", "1/0"),
+                "--theta-ratio 1/0 has a zero denominator",
+            ),
+            (("oracle", "--theta", "1/0"), "--theta 1/0 has a zero denominator"),
+            (("enumerate", "--theta", "abc"), "--theta expects a number, got 'abc'"),
+            (
+                ("enumerate", "--theta-ratio", "inf"),
+                "--theta-ratio expects a number, got 'inf'",
+            ),
+            (("enumerate", "--theta=-inf"), "--theta expects a number, got '-inf'"),
+            (("oracle", "--theta", "abc"), "--theta expects a number, got 'abc'"),
         ],
-        ids=["theta", "theta_ratio", "oracle_theta"],
+        ids=[
+            "theta", "theta_ratio", "oracle_theta", "theta_word",
+            "theta_ratio_inf", "theta_minus_inf", "oracle_theta_word",
+        ],
     )
-    def test_zero_denominator_flag_is_3(self, tri_path, args):
-        command, flag, value = args
-        proc = run_cli(command, "--input", tri_path, flag, value)
+    def test_zero_denominator_flag_is_3(self, tri_path, args, message):
+        command, *flags = args
+        proc = run_cli(command, "--input", tri_path, *flags)
         assert proc.returncode == 3
-        assert f"error: {flag} 1/0 has a zero denominator" in proc.stderr
+        assert f"error: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["enumerate", "build", "count"])
+    def test_node_cap_below_one_is_3(self, tri_path, command, cap):
+        # a cap below 1 is bad input, not a budget that ran out (exit 5)
+        full = () if command == "count" else ("--exact", "--theta", "inf")
+        proc = run_cli(command, "--input", tri_path, *full, "--node-cap", cap)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "error: node_cap must be at least 1" in proc.stderr
 
 
 class TestOtherSubcommands:

@@ -16,7 +16,12 @@ from steinerenum import (
     reduce_bdd,
 )
 from steinerenum.frontier import ONE, ZERO
-from .conftest import grid_graph, random_connected_graph, subdivide_edge
+from .conftest import (
+    add_parallel_edge_and_loop,
+    grid_graph,
+    random_connected_graph,
+    subdivide_edge,
+)
 from .frontier_reference import (
     ReferenceFrontierSearch,
     reference_construct_bdd,
@@ -85,8 +90,9 @@ class TestTriangleTrace:
             ((1, True, 0), (2, False, 0)),
             ((1, True, 1), (1, True, 1)),
         )
-        # every incident edge of 1 and 2 is still undecided at step 1
-        assert search.steps[1].undecided == (2, 2)
+        # both stay on the frontier after step 1, so nothing is sealed
+        assert search.steps[1].kept == (1, 2)
+        assert search.steps[1].dropped == ()
 
     def test_first_include_is_not_yet_a_tree(self, setup):
         _, _, search = setup
@@ -301,12 +307,16 @@ class TestRenaming:
 class TestAgainstThreePredicateStep:
     def test_identical_diagrams(self):
         """The fused step builds byte-identical diagrams, before and
-        after reduction, to the three-predicate step it replaced."""
+        after reduction, to the three-predicate step it replaced, on
+        simple graphs and on multigraphs with a parallel edge and a
+        self-loop."""
         rng = random.Random(5)
-        for n in range(1200):
+        for n in range(1500):
             g = random_connected_graph(rng)
             if n % 3 == 0:
                 g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+            if n >= 1200:
+                g = add_parallel_edge_and_loop(g, rng, n % 2 == 0)
             order = order_edges(g)
             for theta in (None, 0, 5, 10, 20, 40):
                 bdd = construct_bdd(g, order, theta)
@@ -316,10 +326,14 @@ class TestAgainstThreePredicateStep:
 
     def test_identical_steps(self):
         """Both branches of every reachable state match the reference's
-        sink predicates and successors, unmerged nodes included."""
+        sink predicates and successors, unmerged nodes included, on
+        simple graphs and on multigraphs with a parallel edge and a
+        self-loop."""
         rng = random.Random(11)
-        for _ in range(150):
+        for n in range(300):
             g = random_connected_graph(rng, max_vertices=7, max_edges=10)
+            if n >= 150:
+                g = add_parallel_edge_and_loop(g, rng, n % 2 == 0)
             order = order_edges(g)
             search = FrontierSearch(g, order)
             ref = ReferenceFrontierSearch(g, order)
