@@ -22,19 +22,25 @@ the input had decimal weights).  ``enumerate`` writes the K cheapest
 trees within theta (``--k K``), or all of them when fewer exist.
 ``build`` takes the same preprocessing flags, stops after reduction,
 traverses nothing and writes the reduced diagram.
-Summaries go to stderr; data to stdout or --output.  Exit codes: 0 ok,
-2 usage, 3 bad input, 4 no tree within theta, 5 node cap exceeded,
-6 more trees within theta than written (those written are exactly the
-cheapest).
+Summaries go to stderr; data to stdout or --output.  The input is read
+first, then every output file (--output, --report, --map) is opened
+before any work: an unwritable path exits 3 with nothing done, and a run
+that fails after that leaves its outputs empty, as ``> file`` would.
+Since the input is read first, ``--output`` may name the input file.
+Exit codes: 0 ok, 2 usage, 3 bad input or unwritable output, 4 no tree
+within theta, 5 node cap exceeded, 6 more trees within theta than
+written (those written are exactly the cheapest).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from fractions import Fraction
+from typing import TextIO
 
 from .frontier import DEFAULT_NODE_CAP, NodeCapExceeded
 from .graph import Graph, GraphError, SteinerTree, order_edges, parse_stp, simplify, write_stp
@@ -50,26 +56,16 @@ EXIT_NODE_CAP = 5
 EXIT_TRUNCATED = 6
 
 
-def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_stp(fh.read())
-
-
 def _tree_line(tree: SteinerTree, g: Graph) -> str:
     pairs = [[g.edges[i][0], g.edges[i][1]] for i in tree.sorted_edges()]
     return json.dumps({"cost": tree.cost, "edges": pairs}, separators=(", ", ": "))
 
 
-def _emit_trees(trees, g: Graph, output: str | None):
-    text = "".join(_tree_line(t, g) + "\n" for t in trees)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit_trees(trees, g: Graph, out: TextIO):
+    out.write("".join(_tree_line(t, g) + "\n" for t in trees))
 
 
-def _write_report(path: str, g: Graph, res: RunResult):
+def _write_report(out: TextIO, res: RunResult):
     report = {
         "graph": {
             "v": res.graph_vertices,
@@ -93,9 +89,8 @@ def _write_report(path: str, g: Graph, res: RunResult):
             ),
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    json.dump(report, out, indent=2)
+    out.write("\n")
 
 
 def _theta_args(p: argparse.ArgumentParser):
@@ -253,8 +248,7 @@ def _load_seed_file(path: str, g: Graph) -> tuple[frozenset[int], ...]:
 # subcommands
 
 
-def _cmd_stats(args) -> int:
-    g = _load_graph(args.input)
+def _cmd_stats(args, g: Graph) -> int:
     order = order_edges(g) if g.terminals else None
     info = {
         "vertices": g.vertex_count,
@@ -265,31 +259,24 @@ def _cmd_stats(args) -> int:
         "max_weight": max((w for _, _, w in g.edges), default=None),
         "frontier_width": order.frontier_width if order else None,
     }
-    json.dump(info, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    json.dump(info, args.output, indent=2)
+    args.output.write("\n")
     return EXIT_OK
 
 
-def _cmd_simplify(args) -> int:
-    g = _load_graph(args.input)
+def _cmd_simplify(args, g: Graph) -> int:
     simplified, smap = simplify(g)
-    text = write_stp(simplified)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    args.output.write(write_stp(simplified))
     if args.map:
-        with open(args.map, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "replacements": [list(c) for c in smap.replacements],
-                    "removed_loops": list(smap.removed_loops),
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        json.dump(
+            {
+                "replacements": [list(c) for c in smap.replacements],
+                "removed_loops": list(smap.removed_loops),
+            },
+            args.map,
+            indent=2,
+        )
+        args.map.write("\n")
     print(
         f"simplify: {len(g.edges)} -> {len(simplified.edges)} edges",
         file=sys.stderr,
@@ -297,8 +284,7 @@ def _cmd_simplify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_seeds(args) -> int:
-    g = _load_graph(args.input)
+def _cmd_seeds(args, g: Graph) -> int:
     cfg = SeedConfig(
         num_seeds=args.seeds,
         perturb_fraction=args.perturb,
@@ -315,15 +301,9 @@ def _cmd_seeds(args) -> int:
     return EXIT_OK
 
 
-def _cmd_build(args) -> int:
-    g = _load_graph(args.input)
+def _cmd_build(args, g: Graph) -> int:
     d = build_diagram(g, _build_config(args, g))
-    dump = d.reduced.dump()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(dump)
-    else:
-        sys.stdout.write(dump)
+    args.output.write(d.reduced.dump())
     print(
         f"build: {d.nodes} nodes constructed, "
         f"{d.reduced.node_count} after reduction",
@@ -332,13 +312,11 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _cmd_enumerate(args) -> int:
-    g = _load_graph(args.input)
-    cfg = _build_config(args, g)
-    res = run(g, cfg)
+def _cmd_enumerate(args, g: Graph) -> int:
+    res = run(g, _build_config(args, g))
     _emit_trees(res.trees, g, args.output)
     if args.report:
-        _write_report(args.report, g, res)
+        _write_report(args.report, res)
     theta_text = "unbounded" if res.theta is None else str(res.theta)
     print(
         f"enumerate: {len(res.trees)} tree(s) within theta={theta_text}; "
@@ -359,20 +337,18 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_count(args) -> int:
-    g = _load_graph(args.input)
+def _cmd_count(args, g: Graph) -> int:
     cfg = RunConfig(
         theta=math.inf,
         use_seeds=False,
         use_simplify=not args.no_simplify,
         node_cap=args.node_cap,
     )
-    print(count_trees(build_diagram(g, cfg).reduced))
+    print(count_trees(build_diagram(g, cfg).reduced), file=args.output)
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    g = _load_graph(args.input)
+def _cmd_oracle(args, g: Graph) -> int:
     theta, _ = _parse_theta(args)
     bound = None
     if theta is not None:
@@ -449,7 +425,18 @@ def main(argv=None) -> int:
                     f"argument --seeds-from-file: not allowed with argument {flag}"
                 )
     try:
-        return args.fn(args)
+        # read the input before opening outputs: an output may overwrite
+        # it, and a bad input must leave existing outputs untouched
+        with open(args.input, "r", encoding="utf-8") as fh:
+            g = parse_stp(fh.read())
+        with contextlib.ExitStack() as stack:
+            for flag in ("output", "report", "map"):
+                path = getattr(args, flag, None)
+                if path:
+                    setattr(args, flag, stack.enter_context(
+                        open(path, "w", encoding="utf-8")))
+            args.output = getattr(args, "output", None) or sys.stdout
+            return args.fn(args, g)
     except (GraphError, OracleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -176,7 +176,11 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
 
 
 def run(g: Graph, cfg: RunConfig = RunConfig()) -> RunResult:
-    """Execute the full pipeline on a parsed graph."""
+    """Execute the full pipeline on a parsed graph.
+
+    Trees come out in ``(cost, sorted_edges)`` order: ``enumerate_trees``
+    returns them so, and mapping back keeps it because ``edge_map`` is
+    ascending and ``simplify`` lists each chain by its smallest edge."""
     d = build_diagram(g, cfg)
 
     t0 = time.perf_counter()
@@ -190,7 +194,6 @@ def run(g: Graph, cfg: RunConfig = RunConfig()) -> RunResult:
         trees.append(
             SteinerTree(frozenset(d.edge_map[i] for i in t.edges), t.cost)
         )
-    trees.sort(key=lambda t: (t.cost, t.sorted_edges()))
 
     return RunResult(
         trees=tuple(trees),

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from perfbench.instances import grid
 from steinerenum import Graph
 
 _summary_lines: list[str] = []
@@ -87,20 +88,11 @@ def add_parallel_edge_and_loop(
 
 
 def grid_graph(rows: int, cols: int, terminals, weight_seed: int = 7) -> Graph:
-    """Grid with pseudo-random weights; vertex (r, c) is r*cols + c + 1."""
-    rng = random.Random(weight_seed)
-
-    def vid(r, c):
-        return r * cols + c + 1
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1), rng.randint(1, 10)))
-            if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c), rng.randint(1, 10)))
-    return Graph(rows * cols, tuple(edges), frozenset(terminals))
+    """The benchmark's grid with its weights and these terminals; vertex
+    (r, c) is r*cols + c + 1."""
+    inst = grid(rows, cols, random.Random(weight_seed))
+    edges = tuple((u, v, int(w)) for u, v, w in inst.edges)
+    return Graph(inst.vertex_count, edges, frozenset(terminals))
 
 
 @pytest.fixture

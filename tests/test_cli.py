@@ -197,6 +197,46 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert "error: node_cap must be at least 1" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("enumerate", "--theta", "inf", "--report"),
+            ("simplify", "--map"),
+            ("build", "--exact", "--theta", "inf", "--node-cap", "1", "--output"),
+        ],
+        ids=["enumerate_report", "simplify_map", "build_output"],
+    )
+    def test_unwritable_output_is_3_before_work(self, tri_path, tmp_path, args):
+        # outputs open before any work: no data, no summary, and build
+        # never reaches the node cap (exit 5)
+        command, *flags = args
+        missing = tmp_path / "missing" / "out"
+        proc = run_cli(command, "--input", tri_path, *flags, str(missing))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert str(missing) in proc.stderr
+
+    def test_bad_input_leaves_output_untouched(self, tmp_path):
+        out = tmp_path / "trees.jsonl"
+        out.write_text("kept\n")
+        proc = run_cli(
+            "enumerate", "--input", str(tmp_path / "missing.stp"),
+            "--output", str(out),
+        )
+        assert proc.returncode == 3
+        assert out.read_text() == "kept\n"
+
+    def test_failed_run_leaves_output_empty(self, tri_path, tmp_path):
+        out = tmp_path / "diagram.txt"
+        out.write_text("old\n")
+        proc = run_cli(
+            "build", "--input", tri_path, "--exact", "--theta", "inf",
+            "--node-cap", "1", "--output", str(out),
+        )
+        assert proc.returncode == 5
+        assert out.read_text() == ""
+
 
 class TestOtherSubcommands:
     def test_stats(self, tri_path):
@@ -262,6 +302,12 @@ class TestOtherSubcommands:
             return [(u, v, Fraction(w, g.cost_scale)) for u, v, w in g.edges]
 
         assert input_units(reread) == input_units(simplified)
+
+    def test_simplify_in_place(self, tri_path):
+        proc = run_cli("simplify", "--input", tri_path, "--output", tri_path)
+        assert proc.returncode == 0
+        want, _ = simplify(parse_stp(TRIANGLE_STP))
+        assert Path(tri_path).read_text() == write_stp(want)
 
     def test_seeds_jsonl(self, tri_path):
         proc = run_cli("seeds", "--input", tri_path, "--seeds", "2")

@@ -1,10 +1,14 @@
-"""Library entry point: theta resolution on the run() path."""
+"""Library entry point: theta resolution and tree order on the run() path."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from steinerenum import GraphError, RunConfig, parse_stp, resolve_theta, run
+from steinerenum import GraphError, RunConfig, SeedConfig, parse_stp, resolve_theta, run
+
+from .conftest import add_parallel_edge_and_loop, random_connected_graph, subdivide_edge
 
 # a two-edge path 1-2-3 with decimal weights; cost scale 100
 DECIMAL_PATH_STP = """\
@@ -36,3 +40,32 @@ class TestResolveTheta:
         g = parse_stp(DECIMAL_PATH_STP)
         with pytest.raises(GraphError):
             resolve_theta(RunConfig(theta=-0.001), g, None)
+
+
+class TestTreeOrder:
+    def test_trees_in_cost_then_edge_order(self):
+        # small weights give many cost ties; subdivided edges give
+        # simplified chains, and the seeded union remaps edge indices
+        rng = random.Random(12)
+        ties = 0
+        for case in range(240):
+            g = random_connected_graph(rng, weight_hi=3)
+            for _ in range(rng.randint(0, 3)):
+                g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+            if case % 3 == 0:
+                g = add_parallel_edge_and_loop(g, rng, rng.random() < 0.5)
+            bound = rng.choice([
+                {"theta": math.inf}, {}, {"theta_ratio": Fraction(3, 2)},
+                {"theta_ratio": Fraction(3)},
+            ])
+            cfg = RunConfig(
+                k=rng.choice([1, 3, 10, 1000]),
+                seeds=SeedConfig(perturb_fraction=0.3, rng_seed=case),
+                use_seeds=case % 2 == 0,
+                use_simplify=case % 4 < 2,
+                **bound,
+            )
+            trees = [(t.cost, t.sorted_edges()) for t in run(g, cfg).trees]
+            assert trees == sorted(trees), case
+            ties += sum(a[0] == b[0] for a, b in zip(trees, trees[1:]))
+        assert ties > 100
