@@ -22,11 +22,11 @@ the input had decimal weights).  ``enumerate`` writes the K cheapest
 trees within theta (``--k K``), or all of them when fewer exist.
 ``build`` takes the same preprocessing flags, stops after reduction,
 traverses nothing and writes the reduced diagram.
-Summaries go to stderr; data to stdout or --output.  The input is read
-first, then every output file (--output, --report, --map) is opened
-before any work: an unwritable path exits 3 with nothing done, and a run
-that fails after that leaves its outputs empty, as ``> file`` would.
-Since the input is read first, ``--output`` may name the input file.
+Summaries go to stderr; data to stdout or --output.  The inputs are
+read and the flags checked first, then every output file is opened
+before any work: a bad input or flag or an unwritable path exits 3 with
+nothing done, and a run that fails after that leaves its outputs empty,
+as ``> file`` would.  So ``--output`` may name an input file.
 Exit codes: 0 ok, 2 usage, 3 bad input or unwritable output, 4 no tree
 within theta, 5 node cap exceeded, 6 more trees within theta than
 written (those written are exactly the cheapest).
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import sys
@@ -135,17 +136,11 @@ def _fraction(flag: str, text: str) -> Fraction:
         raise GraphError(f"{flag} expects a number, got {text!r}") from None
 
 
-def _parse_theta(args) -> tuple[Fraction | float | None, Fraction | None]:
-    theta = None
-    ratio = None
-    if args.theta is not None:
-        theta = (
-            float("inf") if args.theta.lower() == "inf"
-            else _fraction("--theta", args.theta)
-        )
-    if getattr(args, "theta_ratio", None) is not None:
-        ratio = _fraction("--theta-ratio", args.theta_ratio)
-    return theta, ratio
+def _parse_theta(text: str) -> Fraction | float:
+    theta = math.inf if text.lower() == "inf" else _fraction("--theta", text)
+    if theta < 0:
+        raise GraphError("theta must be non-negative")
+    return theta
 
 
 def _parse_root(args) -> int | None:
@@ -158,27 +153,47 @@ def _parse_root(args) -> int | None:
                          f"got {args.seed_root!r}")
 
 
-def _build_config(args, g: Graph) -> RunConfig:
-    theta, ratio = _parse_theta(args)
-    exact = getattr(args, "exact", False)
-    seed_trees = None
-    if getattr(args, "seeds_from_file", None):
-        seed_trees = _load_seed_file(args.seeds_from_file, g)
+def _seed_config(args, g: Graph) -> RunConfig:
+    """The seed flags; ``build`` and ``enumerate`` add theirs to it."""
     return RunConfig(
-        k=getattr(args, "k", 1000),
-        theta=theta,
-        theta_ratio=ratio,
         seeds=SeedConfig(
             num_seeds=args.seeds,
             perturb_fraction=args.perturb,
             rng_seed=args.rng_seed,
         ),
         seed_root=_parse_root(args),
-        use_seeds=not (exact or getattr(args, "no_seeds", False)) and seed_trees is None,
-        use_simplify=not (exact or getattr(args, "no_simplify", False)),
+    )
+
+
+def _run_config(args, g: Graph) -> RunConfig:
+    theta = None if args.theta is None else _parse_theta(args.theta)
+    ratio = None if args.theta_ratio is None else _fraction("--theta-ratio", args.theta_ratio)
+    seed_trees = _load_seed_file(args.seeds_from_file, g) if args.seeds_from_file else None
+    return dataclasses.replace(
+        _seed_config(args, g),
+        k=getattr(args, "k", 1000),  # build writes no trees
+        theta=theta,
+        theta_ratio=ratio,
+        use_seeds=not (args.exact or args.no_seeds) and seed_trees is None,
+        use_simplify=not (args.exact or args.no_simplify),
         node_cap=args.node_cap,
         seed_trees=seed_trees,
     )
+
+
+def _count_config(args, g: Graph) -> RunConfig:
+    return RunConfig(
+        theta=math.inf,
+        use_seeds=False,
+        use_simplify=not args.no_simplify,
+        node_cap=args.node_cap,
+    )
+
+
+def _oracle_bound(args, g: Graph) -> int | None:
+    if args.theta is None:
+        return None
+    return resolve_theta(RunConfig(theta=_parse_theta(args.theta)), g)
 
 
 def _load_seed_file(path: str, g: Graph) -> tuple[frozenset[int], ...]:
@@ -248,7 +263,7 @@ def _load_seed_file(path: str, g: Graph) -> tuple[frozenset[int], ...]:
 # subcommands
 
 
-def _cmd_stats(args, g: Graph) -> int:
+def _cmd_stats(args, g: Graph, _) -> int:
     order = order_edges(g) if g.terminals else None
     info = {
         "vertices": g.vertex_count,
@@ -264,7 +279,7 @@ def _cmd_stats(args, g: Graph) -> int:
     return EXIT_OK
 
 
-def _cmd_simplify(args, g: Graph) -> int:
+def _cmd_simplify(args, g: Graph, _) -> int:
     simplified, smap = simplify(g)
     args.output.write(write_stp(simplified))
     if args.map:
@@ -284,13 +299,8 @@ def _cmd_simplify(args, g: Graph) -> int:
     return EXIT_OK
 
 
-def _cmd_seeds(args, g: Graph) -> int:
-    cfg = SeedConfig(
-        num_seeds=args.seeds,
-        perturb_fraction=args.perturb,
-        rng_seed=args.rng_seed,
-    )
-    selection = select_seeds(g, cfg, _parse_root(args))
+def _cmd_seeds(args, g: Graph, cfg: RunConfig) -> int:
+    selection = select_seeds(g, cfg.seeds, cfg.seed_root)
     _emit_trees(selection.seed_trees, g, args.output)
     print(
         f"seeds: {len(selection.seed_trees)} distinct tree(s) of "
@@ -301,8 +311,8 @@ def _cmd_seeds(args, g: Graph) -> int:
     return EXIT_OK
 
 
-def _cmd_build(args, g: Graph) -> int:
-    d = build_diagram(g, _build_config(args, g))
+def _cmd_build(args, g: Graph, cfg: RunConfig) -> int:
+    d = build_diagram(g, cfg)
     args.output.write(d.reduced.dump())
     print(
         f"build: {d.nodes} nodes constructed, "
@@ -312,8 +322,8 @@ def _cmd_build(args, g: Graph) -> int:
     return EXIT_OK
 
 
-def _cmd_enumerate(args, g: Graph) -> int:
-    res = run(g, _build_config(args, g))
+def _cmd_enumerate(args, g: Graph, cfg: RunConfig) -> int:
+    res = run(g, cfg)
     _emit_trees(res.trees, g, args.output)
     if args.report:
         _write_report(args.report, res)
@@ -337,22 +347,12 @@ def _cmd_enumerate(args, g: Graph) -> int:
     return EXIT_OK
 
 
-def _cmd_count(args, g: Graph) -> int:
-    cfg = RunConfig(
-        theta=math.inf,
-        use_seeds=False,
-        use_simplify=not args.no_simplify,
-        node_cap=args.node_cap,
-    )
+def _cmd_count(args, g: Graph, cfg: RunConfig) -> int:
     print(count_trees(build_diagram(g, cfg).reduced), file=args.output)
     return EXIT_OK
 
 
-def _cmd_oracle(args, g: Graph) -> int:
-    theta, _ = _parse_theta(args)
-    bound = None
-    if theta is not None:
-        bound = resolve_theta(RunConfig(theta=theta), g, None)
+def _cmd_oracle(args, g: Graph, bound: int | None) -> int:
     trees = brute_force_minimal_steiner(g, bound)
     _emit_trees(trees, g, args.output)
     print(f"oracle: {len(trees)} tree(s)", file=sys.stderr)
@@ -366,10 +366,10 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, config=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="STP instance file")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, config=config)
         return p
 
     add("stats", _cmd_stats, "print instance statistics as JSON")
@@ -378,7 +378,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--map", default=None, help="write the expansion map as JSON")
 
-    p = add("seeds", _cmd_seeds, "write seed trees as JSON lines")
+    p = add("seeds", _cmd_seeds, "write seed trees as JSON lines", _seed_config)
     _seed_args(p)
     p.add_argument("--output", default=None)
 
@@ -386,7 +386,7 @@ def _make_parser() -> argparse.ArgumentParser:
         ("build", _cmd_build, "construct, reduce and dump the diagram"),
         ("enumerate", _cmd_enumerate, "enumerate trees as JSON lines"),
     ):
-        p = add(name, fn, help_text)
+        p = add(name, fn, help_text, _run_config)
         _theta_args(p)
         _seed_args(p)
         p.add_argument("--no-seeds", action="store_true", help="search the full graph")
@@ -403,11 +403,11 @@ def _make_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, default=1000, help="trees written")
             p.add_argument("--report", default=None, help="write a JSON run report")
 
-    p = add("count", _cmd_count, "print the exact tree count (unbounded)")
+    p = add("count", _cmd_count, "print the exact tree count (unbounded)", _count_config)
     p.add_argument("--no-simplify", action="store_true")
     p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
 
-    p = add("oracle", _cmd_oracle, "brute-force reference enumeration")
+    p = add("oracle", _cmd_oracle, "brute-force reference enumeration", _oracle_bound)
     p.add_argument("--theta", type=str, default=None)
     p.add_argument("--output", default=None)
 
@@ -425,10 +425,12 @@ def main(argv=None) -> int:
                     f"argument --seeds-from-file: not allowed with argument {flag}"
                 )
     try:
-        # read the input before opening outputs: an output may overwrite
-        # it, and a bad input must leave existing outputs untouched
+        # read every input and check every flag value before opening
+        # outputs: an output may overwrite an input, and a bad input must
+        # leave existing outputs untouched
         with open(args.input, "r", encoding="utf-8") as fh:
             g = parse_stp(fh.read())
+        cfg = args.config(args, g) if args.config else None
         with contextlib.ExitStack() as stack:
             for flag in ("output", "report", "map"):
                 path = getattr(args, flag, None)
@@ -436,7 +438,7 @@ def main(argv=None) -> int:
                     setattr(args, flag, stack.enter_context(
                         open(path, "w", encoding="utf-8")))
             args.output = getattr(args, "output", None) or sys.stdout
-            return args.fn(args, g)
+            return args.fn(args, g, cfg)
     except (GraphError, OracleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

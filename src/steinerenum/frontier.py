@@ -287,8 +287,6 @@ def construct_bdd(
     if theta is not None and theta < 0:
         raise GraphError("theta must be non-negative")
     m = len(order.permutation)
-    if m == 0:
-        raise GraphError("cannot build a diagram over zero edges")
 
     lo: list[int] = [-1, -1]
     hi: list[int] = [-1, -1]

@@ -76,35 +76,31 @@ class Graph:
         if self.cost_scale < 1:
             raise GraphError("cost_scale must be >= 1")
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
-        self._check_connected()
 
-    def _check_connected(self):
-        """Terminals and all edge endpoints must share one component.
-
-        Vertices without any incident edge are allowed (they arise when
-        simplification contracts a vertex away or when a subgraph keeps
-        the parent's vertex numbering) as long as they are not terminals.
-        """
-        active = {z for u, v, _ in self.edges for z in (u, v)}
-        active |= self.terminals
-        if not active:
-            return
-        start = min(active)
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for idx in self.adjacency[u]:
-                eu, ev, _ = self.edges[idx]
-                w = ev if eu == u else eu
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        missing = active - seen
-        if missing:
-            raise GraphError(
-                f"graph is disconnected: vertex {min(missing)} unreachable"
-            )
+        # Terminals and edge endpoints must share one component; other
+        # vertices may stay isolated (simplification contracts vertices
+        # away, and subgraphs keep the parent's numbering).  The smallest
+        # such active vertex starts the search, and the next one it
+        # missed is named.
+        edges, terminals = self.edges, self.terminals
+        seen = bytearray(self.vertex_count + 1)
+        searched = False
+        for v in range(1, self.vertex_count + 1):
+            if seen[v] or not (adj[v] or v in terminals):
+                continue
+            if searched:
+                raise GraphError(f"graph is disconnected: vertex {v} unreachable")
+            searched = True
+            seen[v] = 1
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                for idx in adj[u]:
+                    a, b, _ = edges[idx]
+                    w = b if a == u else a
+                    if not seen[w]:
+                        seen[w] = 1
+                        stack.append(w)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

@@ -34,8 +34,8 @@ class RunConfig:
 
     Exactly one of ``theta`` (absolute, unscaled input units) and
     ``theta_ratio`` applies; leaving both unset means ratio 1.2.  The
-    ratio multiplies the cheapest seed tree's cost (a throwaway
-    shortest-path tree provides the reference when seeds are disabled).
+    ratio multiplies the cheapest seed tree's cost; without seeds the
+    reference is one shortest-path tree from ``seed_root``.
     ``use_seeds``/``use_simplify`` toggle the two preprocessing stages;
     exact mode is both off.  The run writes the ``k`` cheapest trees
     within theta, or all of them when fewer exist.  ``seed_trees``
@@ -84,13 +84,15 @@ def _active_vertex_count(g: Graph) -> int:
 
 
 def resolve_theta(
-    cfg: RunConfig, g: Graph, reference_cost: int | None
+    cfg: RunConfig, g: Graph, reference_cost: int | None = None
 ) -> int | None:
     """Scaled integer bound, or None for unbounded.  Absolute theta
     scales by the graph's fixed-point factor; a ratio takes the floor of
-    ratio * reference.  A float theta counts as the decimal it prints
-    as, so 0.29 means 29/100 rather than the binary value just below.
-    A negative bound is rejected."""
+    ratio * reference, where the reference is ``reference_cost`` or, when
+    that is None, the cost of one shortest-path tree from
+    ``cfg.seed_root``.  A float theta counts as the decimal it prints as,
+    so 0.29 means 29/100 rather than the binary value just below.  A
+    negative bound is rejected."""
     if cfg.theta is not None:
         if cfg.theta == math.inf:
             return None
@@ -101,7 +103,7 @@ def resolve_theta(
     else:
         ratio = cfg.theta_ratio if cfg.theta_ratio is not None else Fraction(6, 5)
         if reference_cost is None:
-            raise GraphError("theta_ratio needs a reference tree cost")
+            reference_cost = tosp_tree(g, cfg.seed_root).cost
         bound = math.floor(ratio * reference_cost)
     if bound < 0:
         raise GraphError("theta must be non-negative")
@@ -111,14 +113,14 @@ def resolve_theta(
 @dataclass(frozen=True)
 class Diagram:
     """Everything a run has before traversal: the reduced diagram and the
-    constructed diagram's node count, the graph it was built on with the
-    maps back to input edge indices and the applied theta."""
+    constructed diagram's node count, the graph it was built on, the map
+    from that graph's edges back to input edge indices and the applied
+    theta."""
 
     nodes: int  # as constructed
     reduced: Bdd
     graph: Graph  # preprocessed
-    edge_map: tuple[int, ...]  # preprocessed-graph edge -> input edge
-    smap: SimplificationMap | None
+    smap: SimplificationMap  # preprocessed-graph edge -> input edges
     theta: int | None
     timing_ms: dict[str, float]
 
@@ -128,34 +130,28 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
     if len(g.terminals) < 2:
         raise GraphError("enumeration needs at least two terminals")
 
-    seed_trees: tuple[SteinerTree, ...] = ()
     if cfg.seed_trees is not None:
         seed_trees = tuple(
             SteinerTree(fs, g.tree_cost(fs)) for fs in cfg.seed_trees
         )
-        union: set[int] = set()
-        for t in seed_trees:
-            union |= t.edges
-        work, edge_map = union_subgraph(g, union)
+        work, edge_map = union_subgraph(g, frozenset().union(*cfg.seed_trees))
     elif cfg.use_seeds:
         selection = select_seeds(g, cfg.seeds, cfg.seed_root)
-        seed_trees = selection.seed_trees
-        work, edge_map = selection.graph, selection.edge_map
+        seed_trees, work, edge_map = (
+            selection.seed_trees, selection.graph, selection.edge_map
+        )
     else:
-        work, edge_map = g, tuple(range(len(g.edges)))
-
-    if seed_trees:
-        reference = min(t.cost for t in seed_trees)
-    elif cfg.theta_ratio is not None or cfg.theta is None:
-        reference = tosp_tree(g, cfg.seed_root).cost
-    else:
-        reference = None
-    theta = resolve_theta(cfg, g, reference)
+        seed_trees, work, edge_map = (), g, tuple(range(len(g.edges)))
+    theta = resolve_theta(cfg, g, min((t.cost for t in seed_trees), default=None))
 
     if cfg.use_simplify:
         simplified, smap = simplify(work)
+        smap = SimplificationMap(
+            tuple(tuple(edge_map[i] for i in c) for c in smap.replacements),
+            tuple(edge_map[i] for i in smap.removed_loops),
+        )
     else:
-        simplified, smap = work, None
+        simplified, smap = work, SimplificationMap(tuple((i,) for i in edge_map), ())
 
     order = order_edges(simplified)
 
@@ -168,7 +164,6 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
         nodes=bdd.node_count,
         reduced=reduced,
         graph=simplified,
-        edge_map=edge_map,
         smap=smap,
         theta=theta,
         timing_ms={"construct": (t1 - t0) * 1000, "reduce": (t2 - t1) * 1000},
@@ -179,24 +174,16 @@ def run(g: Graph, cfg: RunConfig = RunConfig()) -> RunResult:
     """Execute the full pipeline on a parsed graph.
 
     Trees come out in ``(cost, sorted_edges)`` order: ``enumerate_trees``
-    returns them so, and mapping back keeps it because ``edge_map`` is
-    ascending and ``simplify`` lists each chain by its smallest edge."""
+    returns them so, and mapping back keeps it because the map lists the
+    preprocessed edges by the smallest input edge of each one's chain."""
     d = build_diagram(g, cfg)
 
     t0 = time.perf_counter()
     result = enumerate_trees(d.reduced, k=cfg.k, theta=d.theta)
     timing = {**d.timing_ms, "traverse": (time.perf_counter() - t0) * 1000}
 
-    trees = []
-    for t in result.trees:
-        if d.smap is not None:
-            t = expand_tree(t, d.smap)
-        trees.append(
-            SteinerTree(frozenset(d.edge_map[i] for i in t.edges), t.cost)
-        )
-
     return RunResult(
-        trees=tuple(trees),
+        trees=tuple(expand_tree(t, d.smap) for t in result.trees),
         theta=d.theta,
         graph_vertices=g.vertex_count,
         graph_edges=len(g.edges),

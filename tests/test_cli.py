@@ -227,6 +227,39 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("enumerate", "--theta-ratio", "abc"),
+            ("enumerate", "--k", "0"),
+            ("enumerate", "--seeds-from-file", "BAD_SEEDS"),
+            ("build", "--node-cap", "0"),
+            ("build", "--theta", "-1"),
+            ("seeds", "--seed-root", "x"),
+            ("oracle", "--theta", "x"),
+        ],
+        ids=[
+            "theta_ratio", "k", "seeds_file", "node_cap", "negative_theta",
+            "seed_root", "oracle_theta",
+        ],
+    )
+    def test_bad_flag_leaves_outputs_untouched(self, tri_path, tmp_path, args):
+        # flag values and the seed file are checked before outputs open
+        bad_seeds = tmp_path / "bad.jsonl"
+        bad_seeds.write_text('{"edges": [[1, 2]]}\n')  # not a Steiner tree
+        out, report = tmp_path / "out.txt", tmp_path / "report.json"
+        out.write_text("kept\n")
+        report.write_text("kept\n")
+        command, *flags = args
+        flags = [str(bad_seeds) if f == "BAD_SEEDS" else f for f in flags]
+        if command == "enumerate":
+            flags += ["--report", str(report)]
+        proc = run_cli(command, "--input", tri_path, *flags, "--output", str(out))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert out.read_text() == report.read_text() == "kept\n"
+
     def test_failed_run_leaves_output_empty(self, tri_path, tmp_path):
         out = tmp_path / "diagram.txt"
         out.write_text("old\n")
@@ -429,6 +462,44 @@ class TestOtherSubcommands:
         )
         assert proc.returncode == 0
         assert [json.loads(x)["cost"] for x in proc.stdout.splitlines()] == [3]
+
+
+    def test_seeds_from_file_may_be_the_output(self, tri_path, tmp_path):
+        seeds = tmp_path / "seeds.jsonl"
+        seeds.write_text('{"edges": [[1, 2], [2, 3]]}\n{"edges": [[1, 3]]}\n')
+        proc = run_cli(
+            "enumerate", "--input", tri_path, "--theta", "inf",
+            "--seeds-from-file", str(seeds), "--output", str(seeds),
+        )
+        assert proc.returncode == 0
+        assert seeds.read_text() == (
+            '{"cost": 2, "edges": [[1, 2], [2, 3]]}\n'
+            '{"cost": 3, "edges": [[1, 3]]}\n'
+        )
+
+    def test_seeds_from_file_matches_heuristic_run(self, tmp_path, capsys):
+        # the heuristic's own seeds, fed back from a file, give the same
+        # union, reference cost and hence byte-identical trees; the
+        # subdivided edges send the union through simplify
+        rng = random.Random(47)
+        stp, seeds = tmp_path / "g.stp", tmp_path / "seeds.jsonl"
+        heuristic_out, file_out = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        for case in range(150):
+            g = random_connected_graph(rng)
+            for _ in range(rng.randint(0, 3)):
+                g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+            stp.write_text(write_stp(g))
+            flags = ["--input", str(stp), "--k", str(rng.choice([1, 5, 1000]))]
+            perturb = ["--perturb", "0.3", "--rng-seed", str(case)]
+            assert cli.main(["seeds", *flags[:2], *perturb, "--output", str(seeds)]) == 0
+            a = cli.main(["enumerate", *flags, *perturb, "--output", str(heuristic_out)])
+            b = cli.main([
+                "enumerate", *flags, "--seeds-from-file", str(seeds),
+                "--output", str(file_out),
+            ])
+            assert a == b, case
+            assert heuristic_out.read_text() == file_out.read_text(), case
+        capsys.readouterr()
 
 
 class TestDeterminism:

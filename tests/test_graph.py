@@ -69,6 +69,23 @@ class TestGraph:
         with pytest.raises(GraphError, match="disconnected"):
             Graph(4, ((1, 2, 1), (3, 4, 1)), frozenset({1, 3}))
 
+    @pytest.mark.parametrize(
+        "n, edges, terminals, vertex",
+        [
+            # the search starts at 1 and misses the 3-4-5 path
+            (5, ((1, 2, 1), (3, 4, 1), (4, 5, 1)), {1, 5}, 3),
+            # an isolated terminal is an active vertex the search misses
+            (3, ((1, 2, 1),), {1, 3}, 3),
+        ],
+        ids=["smallest_missed_endpoint", "isolated_terminal"],
+    )
+    def test_disconnected_names_smallest_missed_vertex(
+        self, n, edges, terminals, vertex
+    ):
+        msg = f"graph is disconnected: vertex {vertex} unreachable"
+        with pytest.raises(GraphError, match=f"^{msg}$"):
+            Graph(n, edges, frozenset(terminals))
+
     def test_isolated_vertex_tolerated(self):
         g = Graph(3, ((1, 2, 1),), frozenset({1, 2}))
         assert g.degree(3) == 0

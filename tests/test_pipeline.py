@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from steinerenum import GraphError, RunConfig, SeedConfig, parse_stp, resolve_theta, run
+from steinerenum import tosp_tree
 
 from .conftest import add_parallel_edge_and_loop, random_connected_graph, subdivide_edge
 
@@ -40,6 +41,15 @@ class TestResolveTheta:
         g = parse_stp(DECIMAL_PATH_STP)
         with pytest.raises(GraphError):
             resolve_theta(RunConfig(theta=-0.001), g, None)
+
+
+    def test_ratio_without_reference_uses_shortest_path_tree(self):
+        rng = random.Random(3)
+        graphs = [parse_stp(DECIMAL_PATH_STP)]
+        graphs += [random_connected_graph(rng) for _ in range(20)]
+        for g in graphs:
+            want = math.floor(2 * tosp_tree(g).cost)
+            assert resolve_theta(RunConfig(theta_ratio=Fraction(2)), g, None) == want
 
 
 class TestTreeOrder:
