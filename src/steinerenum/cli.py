@@ -26,7 +26,8 @@ Summaries go to stderr; data to stdout or --output.  The inputs are
 read and the flags checked first, then every output file is opened
 before any work: a bad input or flag or an unwritable path exits 3 with
 nothing done, and a run that fails after that leaves its outputs empty,
-as ``> file`` would.  So ``--output`` may name an input file.
+as ``> file`` would.  So ``--output`` may name an input file, but two
+outputs may not name one file (exit 2).
 Exit codes: 0 ok, 2 usage, 3 bad input or unwritable output, 4 no tree
 within theta, 5 node cap exceeded, 6 more trees within theta than
 written (those written are exactly the cheapest).
@@ -39,6 +40,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import TextIO
@@ -137,10 +139,7 @@ def _fraction(flag: str, text: str) -> Fraction:
 
 
 def _parse_theta(text: str) -> Fraction | float:
-    theta = math.inf if text.lower() == "inf" else _fraction("--theta", text)
-    if theta < 0:
-        raise GraphError("theta must be non-negative")
-    return theta
+    return math.inf if text.lower() == "inf" else _fraction("--theta", text)
 
 
 def _parse_root(args) -> int | None:
@@ -166,6 +165,8 @@ def _seed_config(args, g: Graph) -> RunConfig:
 
 
 def _run_config(args, g: Graph) -> RunConfig:
+    if len(g.terminals) < 2:
+        raise GraphError("enumeration needs at least two terminals")
     theta = None if args.theta is None else _parse_theta(args.theta)
     ratio = None if args.theta_ratio is None else _fraction("--theta-ratio", args.theta_ratio)
     seed_trees = _load_seed_file(args.seeds_from_file, g) if args.seeds_from_file else None
@@ -191,6 +192,8 @@ def _count_config(args, g: Graph) -> RunConfig:
 
 
 def _oracle_bound(args, g: Graph) -> int | None:
+    if len(g.terminals) < 2:
+        raise GraphError("enumeration needs at least two terminals")
     if args.theta is None:
         return None
     return resolve_theta(RunConfig(theta=_parse_theta(args.theta)), g)
@@ -424,6 +427,14 @@ def main(argv=None) -> int:
                 parser.error(
                     f"argument --seeds-from-file: not allowed with argument {flag}"
                 )
+    # two outputs on one file would clobber each other
+    outputs: dict[str, str] = {}
+    for flag in ("output", "report", "map"):
+        path = getattr(args, flag, None)
+        if path:
+            other = outputs.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                parser.error(f"argument --{flag}: names the same file as --{other}")
     try:
         # read every input and check every flag value before opening
         # outputs: an output may overwrite an input, and a bad input must

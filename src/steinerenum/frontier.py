@@ -100,12 +100,10 @@ class _Step:
     fresh: tuple[tuple[int, bool, int], ...]  # endpoints entering here
     iu: int
     iv: int
-    leaving: tuple[int, ...]  # non-terminal endpoints on their last edge
-    nonterminal_ends: tuple[int, ...]
-    others: tuple[tuple[int, bool], ...]  # (index, is a non-terminal)
     keep: tuple[int, ...]  # index of each vertex of frontier_sets[i]
     kept: tuple[int, ...]  # those vertices, ascending
-    dropped: tuple[tuple[int, int], ...]  # (index, vertex) leaving here
+    nonterminal: tuple[bool, ...]  # per kept vertex
+    dropped: tuple[tuple[int, int, bool], ...]  # (index, vertex, non-terminal)
     all_seen: bool  # every terminal has entered the frontier
 
 
@@ -138,30 +136,19 @@ class FrontierSearch:
             unseen.difference_update((u, v))
             vertices = sorted(before) + entering
             at = {z: j for j, z in enumerate(vertices)}
-            iu, iv = at[u], at[v]
-            ends = dict.fromkeys((iu, iv))
             kept = tuple(sorted(after))
             keep = tuple(at[f] for f in kept)
             self.steps.append(_Step(
                 cost=c,
                 fresh=tuple((z, z in terms, 0) for z in entering),
-                iu=iu,
-                iv=iv,
-                leaving=tuple(
-                    j for j in ends
-                    if vertices[j] not in after and vertices[j] not in terms
-                ),
-                nonterminal_ends=tuple(
-                    j for j in ends if vertices[j] not in terms
-                ),
-                others=tuple(
-                    (j, z not in terms)
-                    for j, z in enumerate(vertices) if j not in ends
-                ),
+                iu=at[u],
+                iv=at[v],
                 keep=keep,
                 kept=kept,
+                nonterminal=tuple(z not in terms for z in kept),
                 dropped=tuple(
-                    (j, z) for j, z in enumerate(vertices) if j not in keep
+                    (j, z, z not in terms)
+                    for j, z in enumerate(vertices) if j not in keep
                 ),
                 all_seen=not unseen,
             ))
@@ -170,17 +157,18 @@ class FrontierSearch:
         """Targets ``(lo, hi)`` of edge i from ``state``, each ZERO, ONE
         or the successor state.
 
-        Exclusion dies when it strands a terminal-bearing endpoint
-        component (no kept entry carries its representative, so it is
-        sealed) or makes a leaving non-terminal a leaf.  Inclusion,
-        skipped unless ``include`` (the caller's cost bound), dies on a
-        cycle, on a leaving non-terminal that would end as a leaf, or
-        when it seals off some but not all terminals: both endpoint
-        components are sealed and one holds a terminal.  It completes a
-        minimal Steiner tree (ONE) when the joined component holds every
-        terminal, no non-terminal in it is a leaf and no other component
-        holds edges; earlier exits were screened, so checking the live
-        frontier suffices.
+        A non-terminal that leaves as a leaf dies on either branch.
+        Otherwise each branch builds its successor and reads the other
+        rules off it.  Exclusion dies when it seals a terminal-bearing
+        endpoint component (``_renamed`` finds no kept entry to carry its
+        representative).  Inclusion, skipped unless ``include`` (the
+        caller's cost bound), dies on a cycle, and when it seals a
+        terminal-bearing merged component while terminals remain
+        outside it.  It completes a minimal Steiner tree (ONE) when the
+        merged component holds every terminal and no kept non-terminal
+        is a leaf.  No other component can then hold edges: it would
+        hold no terminal, and its leaves, non-terminals that never left
+        as leaves, would still be on the frontier.
 
         Inclusion merges the endpoint components under the smaller
         representative (holding a terminal if either did) and bumps both
@@ -195,21 +183,15 @@ class FrontierSearch:
         cv, tv, _ = ext[iv]
         # leaving vertices that name their component, and the degrees of
         # the leaving non-terminals
-        gone = [z for j, z in step.dropped if ext[j][0] == z]
-        leaving = [ext[j][2] for j in step.leaving]
-        # an endpoint component is sealed when no kept entry carries its
-        # representative; a sealed component's representative has left,
-        # and only the rules for terminal-bearing components ask
-        sealed_u = sealed_v = False
-        if gone and (tu or tv):
-            live = {ext[j][0] for j in step.keep}
-            sealed_u = cu not in live
-            sealed_v = cv not in live
+        gone = [z for j, z, _ in step.dropped if ext[j][0] == z]
+        leaving = [ext[j][2] for j, _, nonterminal in step.dropped if nonterminal]
 
-        if 1 in leaving or tu and sealed_u or tv and sealed_v:
+        if 1 in leaving:
             lo = ZERO
         elif gone:
-            lo = _renamed([ext[j] for j in step.keep], step.kept, gone)
+            lo, sealed = _renamed([ext[j] for j in step.keep], step.kept, gone)
+            if tu and cu in sealed or tv and cv in sealed:
+                lo = ZERO
         else:
             lo = tuple([ext[j] for j in step.keep]) or ZERO
 
@@ -220,11 +202,6 @@ class FrontierSearch:
             # entered terminals are all on the frontier, or all sealed off
             holders = {rep for rep, t, _ in ext if t}
             holds_all = bool(holders) and holders <= {cu, cv}
-        if holds_all:
-            if _completes(ext, step, cu, cv):
-                return lo, ONE
-        elif (tu or tv) and sealed_u and sealed_v:
-            return lo, ZERO
 
         m = cu if cu < cv else cv
         t = tu or tv
@@ -235,26 +212,25 @@ class FrontierSearch:
             if rep == cu or rep == cv:
                 entry = (m, t, entry[2] + (j == iu) + (j == iv))
             out.append(entry)
-        hi = _renamed(out, step.kept, gone) if gone else tuple(out) or ZERO
+        if holds_all and not any(
+            d == 1 and nonterminal
+            for (_, _, d), nonterminal in zip(out, step.nonterminal)
+        ):
+            return lo, ONE
+        if not gone:
+            return lo, tuple(out) or ZERO
+        hi, sealed = _renamed(out, step.kept, gone)
+        if m in sealed and t and not holds_all:
+            hi = ZERO
         return lo, hi
-
-
-def _completes(ext: tuple, step: _Step, cu: int, cv: int) -> bool:
-    """True iff joining cu and cv, which hold every terminal, leaves no
-    non-terminal leaf and no other component holding edges."""
-    # the endpoints end at degree deg+1; degree 1 is a leaf
-    if any(ext[j][2] == 0 for j in step.nonterminal_ends):
-        return False
-    for j, nonterminal in step.others:
-        rep, _, d = ext[j]
-        if d and (d == 1 and nonterminal or rep != cu and rep != cv):
-            return False
-    return True
 
 
 def _renamed(entries: list, vertices: tuple[int, ...], gone: list[int]):
     """Entries with each component named after a vertex in ``gone``
-    renamed after its first vertex; ZERO for an empty frontier."""
+    renamed after its first vertex, or ZERO for an empty frontier, and
+    the names in ``gone`` that no entry carries: the components sealed
+    at this step."""
+    sealed = []
     for z in gone:
         first = None
         for k, (rep, t, d) in enumerate(entries):
@@ -262,7 +238,9 @@ def _renamed(entries: list, vertices: tuple[int, ...], gone: list[int]):
                 if first is None:
                     first = vertices[k]
                 entries[k] = (first, t, d)
-    return tuple(entries) or ZERO
+        if first is None:
+            sealed.append(z)
+    return tuple(entries) or ZERO, sealed
 
 
 def construct_bdd(

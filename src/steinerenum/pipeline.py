@@ -33,7 +33,8 @@ class RunConfig:
     """Full parameterization of one enumeration run.
 
     Exactly one of ``theta`` (absolute, unscaled input units) and
-    ``theta_ratio`` applies; leaving both unset means ratio 1.2.  The
+    ``theta_ratio`` applies, and neither may be negative; leaving both
+    unset means ratio 1.2.  The
     ratio multiplies the cheapest seed tree's cost; without seeds the
     reference is one shortest-path tree from ``seed_root``.
     ``use_seeds``/``use_simplify`` toggle the two preprocessing stages;
@@ -60,6 +61,10 @@ class RunConfig:
             raise ValueError("k must be at least 1")
         if self.node_cap < 1:
             raise ValueError("node_cap must be at least 1")
+        if self.theta is not None and self.theta < 0:
+            raise GraphError("theta must be non-negative")
+        if self.theta_ratio is not None and self.theta_ratio < 0:
+            raise GraphError("theta_ratio must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -91,23 +96,18 @@ def resolve_theta(
     ratio * reference, where the reference is ``reference_cost`` or, when
     that is None, the cost of one shortest-path tree from
     ``cfg.seed_root``.  A float theta counts as the decimal it prints as,
-    so 0.29 means 29/100 rather than the binary value just below.  A
-    negative bound is rejected."""
+    so 0.29 means 29/100 rather than the binary value just below."""
     if cfg.theta is not None:
         if cfg.theta == math.inf:
             return None
         theta = cfg.theta
         if isinstance(theta, float):
             theta = Fraction(repr(theta))
-        bound = math.floor(theta * g.cost_scale)
-    else:
-        ratio = cfg.theta_ratio if cfg.theta_ratio is not None else Fraction(6, 5)
-        if reference_cost is None:
-            reference_cost = tosp_tree(g, cfg.seed_root).cost
-        bound = math.floor(ratio * reference_cost)
-    if bound < 0:
-        raise GraphError("theta must be non-negative")
-    return bound
+        return math.floor(theta * g.cost_scale)
+    ratio = cfg.theta_ratio if cfg.theta_ratio is not None else Fraction(6, 5)
+    if reference_cost is None:
+        reference_cost = tosp_tree(g, cfg.seed_root).cost
+    return math.floor(ratio * reference_cost)
 
 
 @dataclass(frozen=True)

@@ -237,10 +237,11 @@ class TestExitCodes:
             ("build", "--theta", "-1"),
             ("seeds", "--seed-root", "x"),
             ("oracle", "--theta", "x"),
+            ("enumerate", "--theta-ratio", "-1"),
         ],
         ids=[
             "theta_ratio", "k", "seeds_file", "node_cap", "negative_theta",
-            "seed_root", "oracle_theta",
+            "seed_root", "oracle_theta", "negative_ratio",
         ],
     )
     def test_bad_flag_leaves_outputs_untouched(self, tri_path, tmp_path, args):
@@ -258,6 +259,54 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
+        assert out.read_text() == report.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "command, first, second, spelling",
+        [
+            ("enumerate", "--output", "--report", "same"),
+            ("enumerate", "--report", "--output", "dotted"),
+            ("simplify", "--output", "--map", "dotted"),
+            ("simplify", "--map", "--output", "symlink"),
+        ],
+    )
+    def test_two_outputs_on_one_file_is_2(
+        self, tri_path, tmp_path, command, first, second, spelling
+    ):
+        out = tmp_path / "out.txt"
+        out.write_text("kept\n")
+        alias = {
+            "same": out,
+            "dotted": tmp_path / "." / "out.txt",
+            "symlink": tmp_path / "link.txt",
+        }[spelling]
+        if spelling == "symlink":
+            alias.symlink_to(out)
+        proc = run_cli(
+            command, "--input", tri_path, first, str(out), second, str(alias)
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        message = proc.stderr.splitlines()[-1]
+        assert "names the same file" in message
+        assert first in message and second in message
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["enumerate", "build", "oracle"])
+    def test_one_terminal_leaves_outputs_untouched(self, tmp_path, command):
+        p = tmp_path / "one.stp"
+        p.write_text(
+            "SECTION Graph\nNodes 2\nEdges 1\nE 1 2 1\nEND\n"
+            "SECTION Terminals\nTerminals 1\nT 1\nEND\nEOF\n"
+        )
+        out, report = tmp_path / "out.txt", tmp_path / "report.json"
+        out.write_text("kept\n")
+        report.write_text("kept\n")
+        flags = ["--report", str(report)] if command == "enumerate" else []
+        proc = run_cli(command, "--input", str(p), "--output", str(out), *flags)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "needs at least two terminals" in proc.stderr
         assert out.read_text() == report.read_text() == "kept\n"
 
     def test_failed_run_leaves_output_empty(self, tri_path, tmp_path):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from steinerenum import (
+    EdgeOrder,
     Graph,
     GraphError,
     FrontierSearch,
@@ -164,6 +165,28 @@ class TestSinkRules:
         )
         bdd = construct_bdd(g, order_edges(g))
         assert decoded_subsets(bdd) == {frozenset({0, 1})}
+
+    def test_nonterminal_path_blocks_completion(self):
+        # the hand-built order takes the non-terminal path 3-4-5 first;
+        # its ends 3 and 5 are still on the frontier, as leaves, when
+        # (1,2) joins both terminals, so that inclusion is not a tree
+        g = Graph(
+            5,
+            ((3, 4, 1), (4, 5, 1), (1, 2, 1), (1, 3, 1), (2, 5, 1)),
+            frozenset({1, 2}),
+        )
+        sets = [(), (3, 4), (3, 5), (1, 2, 3, 5), (2, 5), ()]
+        order = EdgeOrder((0, 1, 2, 3, 4), tuple(map(frozenset, sets)), 4)
+        search = FrontierSearch(g, order)
+        path = walk_states(search, (1, 1))
+        assert path == ((3, False, 1), (3, False, 1))
+        assert search.steps[3].all_seen
+        assert search.branches(path, 3, True)[1] == (
+            (1, True, 1), (1, True, 1), (3, False, 1), (3, False, 1)
+        )
+        bdd = construct_bdd(g, order)
+        assert bdd.dump() == reference_construct_bdd(g, order).dump()
+        assert decoded_subsets(bdd) == {frozenset({2}), frozenset({0, 1, 3, 4})}
 
     def test_theta_prunes_during_construction(self, triangle):
         order = order_edges(triangle)

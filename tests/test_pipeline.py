@@ -42,6 +42,16 @@ class TestResolveTheta:
         with pytest.raises(GraphError):
             resolve_theta(RunConfig(theta=-0.001), g, None)
 
+    @pytest.mark.parametrize(
+        "bound",
+        [{"theta": Fraction(-1)}, {"theta_ratio": Fraction(-1)}],
+        ids=["theta", "theta_ratio"],
+    )
+    def test_negative_bound_is_a_config_error(self, bound):
+        # caught before any graph is read, whatever the reference cost
+        with pytest.raises(GraphError, match="must be non-negative"):
+            RunConfig(**bound)
+
 
     def test_ratio_without_reference_uses_shortest_path_tree(self):
         rng = random.Random(3)
