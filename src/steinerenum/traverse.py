@@ -94,13 +94,14 @@ def count_trees(bdd: Bdd) -> int:
 class EnumerationResult:
     """Output of the top-k traversal plus its instrumentation.
 
-    ``trees`` holds exactly the ``min(k, T)`` cheapest trees, where T
-    is the number of trees within theta, ascending by
-    ``(cost, sorted_edges)``; among trees tied at the cut cost the
-    traversal's fixed push order decides which are kept.
-    ``peak_entries`` is the largest heap size reached.  ``truncated``
-    flags that at least one more tree within theta exists beyond those
-    written.  ``sink_arrivals`` is the number of trees popped.
+    ``trees`` holds the first ``min(k, T)`` of the T trees within theta
+    in ``(cost, sorted_edges)`` order.  Trees tied at the cut cost are
+    all popped and the smallest by ``sorted_edges`` kept, so the result
+    depends only on the diagram's tree set, theta and k, not on the
+    edge order or the diagram's shape.  ``peak_entries`` is the largest
+    heap size reached.  ``truncated`` flags that at least one more tree
+    within theta exists beyond those written.  ``sink_arrivals`` is the
+    number of trees popped, those tied at the cut included.
     """
 
     trees: tuple[SteinerTree, ...]
@@ -140,10 +141,11 @@ def enumerate_trees(
     writing one tree, and pushes every sibling arc left behind on the
     way when its own ``f`` is within theta.  The entries partition the
     remaining paths, so trees come out in ascending cost and theta
-    prunes exactly.  Equal keys pop in push order, which makes the
-    outcome independent of hash ordering.  Every arc leads to the next
-    level, so an entry carries its node's level and each step down adds
-    one.  ``entry_budget`` bounds the heap size.
+    prunes exactly.  After the k-th tree the search keeps popping while
+    the heap top equals the cut cost; those trees are sorted in with the
+    rest and the first k kept.  Every arc leads to the next level, so an
+    entry carries its node's level and each step down adds one.
+    ``entry_budget`` bounds the heap size.
     """
     if k < 1:
         raise TraversalError("k must be at least 1")
@@ -162,7 +164,7 @@ def enumerate_trees(
     pushes = 1
     peak = 1
     trees: list[SteinerTree] = []
-    while heap and len(trees) < k:
+    while heap and (len(trees) < k or heap[0][0] == trees[-1].cost):
         f, _, nid, level, path = heapq.heappop(heap)
         prefix = f - best[nid]
         while nid != ONE:
@@ -192,7 +194,8 @@ def enumerate_trees(
             raise EntryBudgetExceeded(entry_budget, len(trees), len(heap))
 
     trees.sort(key=lambda t: (t.cost, t.sorted_edges()))
-    return EnumerationResult(tuple(trees), peak, bool(heap), len(trees))
+    truncated = bool(heap) or len(trees) > k
+    return EnumerationResult(tuple(trees[:k]), peak, truncated, len(trees))
 
 
 def validate_tree(tree: SteinerTree, g: Graph) -> bool:

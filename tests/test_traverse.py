@@ -148,14 +148,16 @@ class TestEnumerate:
         bad = []
         for case in range(300):
             g = random_connected_graph(rng)
-            costs = [t.cost for t in brute_force_minimal_steiner(g)]
+            oracle = [
+                (t.cost, t.sorted_edges()) for t in brute_force_minimal_steiner(g)
+            ]
             for theta in (None, 5, 15):
-                within = [c for c in costs if theta is None or c <= theta]
+                within = [t for t in oracle if theta is None or t[0] <= theta]
                 red = reduce_bdd(build(g, theta))
                 for k in (1, 2, 3, 10):
                     res = enumerate_trees(red, k=k, theta=theta)
                     if (
-                        [t.cost for t in res.trees] != within[:k]
+                        [(t.cost, t.sorted_edges()) for t in res.trees] != within[:k]
                         or res.truncated != (len(within) > k)
                     ):
                         bad.append((case, theta, k))
