@@ -21,6 +21,7 @@ from .graph import (
     ParseError,
     SimplificationMap,
     SteinerTree,
+    bfs_order,
     expand_tree,
     order_edges,
     parse_stp,
@@ -65,6 +66,7 @@ __all__ = [
     "SimplificationMap",
     "SteinerTree",
     "TraversalError",
+    "bfs_order",
     "brute_force_minimal_steiner",
     "construct_bdd",
     "count_simple_paths",

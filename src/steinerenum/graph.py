@@ -320,12 +320,70 @@ def default_root(g: Graph) -> int:
     return min(g.terminals, key=lambda t: (g.degree(t), t))
 
 
-def order_edges(g: Graph, start: int | None = None) -> EdgeOrder:
+def order_edges(g: Graph) -> EdgeOrder:
+    """The narrower of two breadth-first edge orders.
+
+    Diagram size grows exponentially with the frontier width, so two
+    candidates are built, each in O(m): ``bfs_order`` from
+    ``default_root(g)`` and from a pseudo-peripheral vertex.  The one
+    with the smaller ``(frontier_width, sum of 2^|F_i|)`` wins, the
+    first on a tie.  Neither candidate is better on every graph: a BFS
+    from one end of a long axis keeps the frontier across the short one,
+    but on some graphs the default root is the better start.
+    """
+    root = default_root(g)
+    candidates = (bfs_order(g, root), bfs_order(g, pseudo_peripheral(g, root)))
+    return min(candidates, key=_frontier_profile)
+
+
+def _frontier_profile(order: EdgeOrder) -> tuple[int, int]:
+    return order.frontier_width, sum(1 << len(s) for s in order.frontier_sets)
+
+
+def pseudo_peripheral(g: Graph, start: int) -> int:
+    """A vertex of nearly maximal eccentricity in start's component.
+
+    The double sweep of Gibbs, Poole & Stockmeyer (1976): jump to a
+    farthest vertex (least degree, then least id) until the
+    eccentricity stops growing, and end on the last vertex reached.
+    Each sweep is one BFS, and every sweep but the last raises the
+    eccentricity, which the diameter bounds.
+    """
+    ecc, far = _sweep(g, start)
+    while True:
+        reached = far
+        far_ecc, far = _sweep(g, reached)
+        if far_ecc <= ecc:
+            return reached
+        ecc = far_ecc
+
+
+def _sweep(g: Graph, start: int) -> tuple[int, int]:
+    """Eccentricity of start, and its farthest vertex of least degree,
+    ties to the least id."""
+    seen = {start}
+    layer = [start]
+    depth = 0
+    while True:
+        nxt = []
+        for u in layer:
+            for idx in g.adjacency[u]:
+                w = g.other_end(idx, u)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        if not nxt:
+            return depth, min(layer, key=lambda v: (g.degree(v), v))
+        layer = nxt
+        depth += 1
+
+
+def bfs_order(g: Graph, start: int | None = None) -> EdgeOrder:
     """Breadth-first edge order from a start vertex.
 
     The default start is ``default_root(g)``; incident edges are visited
     smallest-neighbor first, then by edge index.  Keeping the traversal
-    breadth-first from one terminal keeps the frontier narrow on
+    breadth-first from one vertex keeps the frontier narrow on
     mesh-like instances.
     """
     if start is None:

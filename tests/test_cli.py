@@ -12,9 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from steinerenum import cli, parse_stp, pipeline, simplify, write_stp
+from steinerenum import bfs_order, cli, parse_stp, pipeline, simplify, write_stp
 from steinerenum.oracle import brute_force_minimal_steiner
-from .conftest import TRIANGLE_STP, random_connected_graph, subdivide_edge
+from .conftest import (
+    TRIANGLE_STP,
+    grid_graph,
+    random_connected_graph,
+    subdivide_edge,
+)
 
 CLI = [sys.executable, "-m", "steinerenum"]
 NOT_A_TREE_RECORD = 'expected an object with an "edges" or "edge_indices" list'
@@ -329,6 +334,14 @@ class TestOtherSubcommands:
         assert data["terminals"] == 2
         assert data["frontier_width"] == 2
 
+    def test_stats_reports_the_chosen_order_width(self, tmp_path):
+        g = grid_graph(4, 8, [1, 8, 25, 32])
+        path = tmp_path / "grid.stp"
+        path.write_text(write_stp(g))
+        data = json.loads(run_cli("stats", "--input", str(path)).stdout)
+        assert bfs_order(g).frontier_width == 5
+        assert data["frontier_width"] == 4
+
     def test_count(self, tri_path, all_term_path):
         assert run_cli("count", "--input", tri_path).stdout.strip() == "2"
         assert run_cli("count", "--input", all_term_path).stdout.strip() == "3"
@@ -574,6 +587,35 @@ class TestDeterminism:
             assert proc.returncode == 0
             outputs.add(proc.stdout)
         assert len(outputs) == 1
+
+
+    def test_shuffled_edge_lines_write_the_same_trees(self, tmp_path):
+        lines = write_stp(grid_graph(4, 4, [1, 4, 13, 16])).splitlines()
+        at = [i for i, line in enumerate(lines) if line.startswith("E ")]
+        edge_lines = [lines[i] for i in at]
+        random.Random(3).shuffle(edge_lines)
+        shuffled = list(lines)
+        for i, line in zip(at, edge_lines):
+            shuffled[i] = line
+        paths = [tmp_path / "grid.stp", tmp_path / "shuffled.stp"]
+        for path, text in zip(paths, (lines, shuffled)):
+            path.write_text("\n".join(text) + "\n")
+
+        def written(path, k):
+            proc = run_cli(
+                "enumerate", "--input", str(path), "--exact", "--theta", "inf",
+                "--k", str(k),
+            )
+            trees = [json.loads(line) for line in proc.stdout.splitlines()]
+            return proc.returncode, sorted(
+                (t["cost"], sorted(map(tuple, t["edges"]))) for t in trees
+            )
+
+        # a k that ends a cost group: edge indices differ between the two
+        # files, so a tie cut at k would be broken differently
+        _, first = written(paths[0], 60)
+        k = max(k for k in range(1, 60) if first[k - 1][0] < first[k][0])
+        assert written(paths[0], k) == written(paths[1], k) == (6, first[:k])
 
 
 def test_readme_quick_start(tmp_path, capsys):

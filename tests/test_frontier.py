@@ -11,6 +11,7 @@ from steinerenum import (
     GraphError,
     FrontierSearch,
     NodeCapExceeded,
+    bfs_order,
     construct_bdd,
     enumerate_trees,
     order_edges,
@@ -272,7 +273,7 @@ class TestMerging:
         # take-cheap and take-dear converge on one node, which must keep
         # cost 1: with cost 9 the theta check would cut the only tree
         g = merge_cost_graph()
-        order = order_edges(g, start=1)
+        order = bfs_order(g, start=1)
         assert order.permutation[:2] == (0, 1)
         merged = construct_bdd(g, order)
         assert len(merged.levels[3]) == 1
@@ -443,7 +444,7 @@ class TestCapacityAndValidation:
     def test_needs_two_terminals(self):
         g = Graph(2, ((1, 2, 1),), frozenset({1}))
         with pytest.raises(GraphError):
-            FrontierSearch(g, order_edges(g, start=1))
+            FrontierSearch(g, bfs_order(g, start=1))
 
     def test_negative_theta_rejected(self, triangle):
         with pytest.raises(GraphError):
@@ -540,7 +541,7 @@ class TestGoldenDiagrams:
     )
     def test_dump_digest(self, make, start, theta, nodes, digest):
         g = make()
-        bdd = construct_bdd(g, order_edges(g, start=start), theta)
+        bdd = construct_bdd(g, bfs_order(g, start=start), theta)
         assert bdd.node_count == nodes
         assert hashlib.sha256(bdd.dump().encode()).hexdigest() == digest
 
@@ -551,7 +552,7 @@ class TestGoldenDiagrams:
     )
     def test_reduced_dump_digest(self, name, make, start, theta):
         g = make()
-        reduced = reduce_bdd(construct_bdd(g, order_edges(g, start=start), theta))
+        reduced = reduce_bdd(construct_bdd(g, bfs_order(g, start=start), theta))
         nodes, digest = GOLDEN_REDUCED[name]
         assert reduced.node_count == nodes
         assert hashlib.sha256(reduced.dump().encode()).hexdigest() == digest

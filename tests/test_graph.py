@@ -12,15 +12,25 @@ from steinerenum import (
     Graph,
     GraphError,
     ParseError,
+    SeedConfig,
     SimplificationMap,
     SteinerTree,
+    bfs_order,
+    construct_bdd,
     expand_tree,
     order_edges,
     parse_stp,
+    select_seeds,
     simplify,
     write_stp,
 )
-from .conftest import TRIANGLE_STP, random_connected_graph, subdivide_edge
+from steinerenum.graph import default_root, pseudo_peripheral
+from .conftest import (
+    TRIANGLE_STP,
+    grid_graph,
+    random_connected_graph,
+    subdivide_edge,
+)
 
 
 def graphs(max_vertices=8, max_edges=12):
@@ -226,23 +236,67 @@ class TestOrderEdges:
         assert order.frontier_sets[0] == frozenset()
         assert order.frontier_sets[-1] == frozenset()
 
-    def test_default_start_is_min_degree_terminal(self):
+    def test_bfs_default_start_is_min_degree_terminal(self):
         # terminal 4 has degree 1, terminal 1 degree 2
         g = Graph(
             4, ((1, 2, 1), (1, 3, 1), (2, 3, 1), (3, 4, 1)), frozenset({1, 4})
         )
-        order = order_edges(g)
+        order = bfs_order(g)
         u, v, _ = g.edges[order.permutation[0]]
         assert 4 in (u, v)
 
-    def test_explicit_start(self, triangle):
-        order = order_edges(triangle, start=2)
+    def test_bfs_explicit_start(self, triangle):
+        order = bfs_order(triangle, start=2)
         u, v, _ = triangle.edges[order.permutation[0]]
         assert 2 in (u, v)
 
-    def test_start_out_of_range(self, triangle):
+    def test_bfs_start_out_of_range(self, triangle):
         with pytest.raises(GraphError):
-            order_edges(triangle, start=9)
+            bfs_order(triangle, start=9)
+
+    def test_never_scores_worse_than_default_bfs(self):
+        rng = random.Random(2718)
+        picked_other = 0
+        for _ in range(400):
+            g = random_connected_graph(rng, max_vertices=10, max_edges=18)
+            chosen, plain = order_edges(g), bfs_order(g)
+            far = bfs_order(g, pseudo_peripheral(g, default_root(g)))
+            assert chosen in (plain, far)
+            assert profile(chosen) <= profile(plain)
+            assert profile(chosen) <= profile(far)
+            picked_other += chosen != plain
+        assert picked_other > 0
+
+    def test_6x8_corner_grid_narrows_to_width_6(self):
+        g = grid_graph(6, 8, [1, 8, 41, 48])
+        assert bfs_order(g).frontier_width == 7
+        order = order_edges(g)
+        assert order == bfs_order(g, 48)
+        assert order.frontier_width == 6
+        assert construct_bdd(g, order).node_count == 87624
+
+    def test_pseudo_peripheral_jumps_until_eccentricity_stops_growing(self):
+        # path 10-20-30-40-50 among 60 ids: from 20 the sweep reaches 50
+        # (eccentricity 3), then 10 (4), and 10 sees nothing farther
+        g = Graph(
+            60,
+            ((10, 20, 1), (20, 30, 1), (30, 40, 1), (40, 50, 1)),
+            frozenset({20, 30}),
+        )
+        assert default_root(g) == 20
+        assert pseudo_peripheral(g, 20) == 10
+        assert bfs_order(g, 10).permutation == (0, 1, 2, 3)
+
+    def test_pseudo_peripheral_on_a_seed_union(self):
+        g = grid_graph(6, 8, [1, 8, 41, 48])
+        union = select_seeds(g, SeedConfig(num_seeds=4, perturb_fraction=0.3)).graph
+        s, _ = simplify(union)
+        active = {z for u, v, _ in s.edges for z in (u, v)}
+        assert active != set(range(1, s.vertex_count + 1))
+        p = pseudo_peripheral(s, default_root(s))
+        assert p in active
+        order = order_edges(s)
+        assert sorted(order.permutation) == list(range(len(s.edges)))
 
     @settings(max_examples=40, deadline=None)
     @given(graphs())
@@ -266,6 +320,10 @@ class TestOrderEdges:
 
     def test_stable_across_calls(self, square):
         assert order_edges(square) == order_edges(square)
+
+
+def profile(order):
+    return order.frontier_width, sum(2 ** len(f) for f in order.frontier_sets)
 
 
 class TestSimplify:

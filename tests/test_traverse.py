@@ -8,6 +8,7 @@ from steinerenum import (
     Graph,
     SteinerTree,
     TraversalError,
+    bfs_order,
     brute_force_minimal_steiner,
     construct_bdd,
     count_trees,
@@ -235,6 +236,45 @@ class TestEnumerate:
         first = [(t.cost, t.sorted_edges()) for t in runs[0].trees]
         for res in runs[1:]:
             assert [(t.cost, t.sorted_edges()) for t in res.trees] == first
+
+
+class TestOrderIndependence:
+    """Trees tied at the cut are chosen by sorted edges, so the edge order
+    the diagram was built under changes nothing that gets written."""
+
+    def test_grid_under_bfs_order_and_order_edges(self):
+        # unit weights: every cost is shared by many trees
+        g = grid_graph(4, 8, [1, 8, 25, 32])
+        g = Graph(
+            g.vertex_count, tuple((u, v, 1) for u, v, _ in g.edges), g.terminals
+        )
+        chosen, plain = order_edges(g), bfs_order(g)
+        assert chosen.permutation != plain.permutation
+        reduced = [reduce_bdd(construct_bdd(g, o)) for o in (chosen, plain)]
+        for k in (1, 7, 50):
+            a, b = (enumerate_trees(red, k=k) for red in reduced)
+            assert a.sink_arrivals > k and b.sink_arrivals > k  # k cuts a tie
+            assert a.trees == b.trees
+            assert a.truncated and b.truncated
+
+    def test_every_start_writes_the_same_trees(self):
+        rng = random.Random(5)
+        for case in range(150):
+            # weights 1..2 tie often
+            g = random_connected_graph(rng, weight_hi=2)
+            want = [
+                (t.cost, t.sorted_edges()) for t in brute_force_minimal_steiner(g)
+            ]
+            active = sorted({z for u, v, _ in g.edges for z in (u, v)})
+            diagrams = [reduce_bdd(build(g))] + [
+                reduce_bdd(construct_bdd(g, bfs_order(g, s))) for s in active
+            ]
+            for k in (1, 2, 3):
+                for red in diagrams:
+                    res = enumerate_trees(red, k=k)
+                    got = [(t.cost, t.sorted_edges()) for t in res.trees]
+                    assert got == want[:k], (case, k)
+                    assert res.truncated == (len(want) > k), (case, k)
 
 
 class TestValidateTree:
