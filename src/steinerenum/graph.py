@@ -329,15 +329,17 @@ def order_edges(g: Graph) -> EdgeOrder:
     with the smaller ``(frontier_width, sum of 2^|F_i|)`` wins, the
     first on a tie.  Neither candidate is better on every graph: a BFS
     from one end of a long axis keeps the frontier across the short one,
-    but on some graphs the default root is the better start.
+    but on some graphs the default root is the better start.  Only the
+    winner's frontier sets are built.
     """
     root = default_root(g)
-    candidates = (bfs_order(g, root), bfs_order(g, pseudo_peripheral(g, root)))
-    return min(candidates, key=_frontier_profile)
+    candidates = (_bfs_edges(g, root), _bfs_edges(g, pseudo_peripheral(g, root)))
+    return _edge_order(g, min(candidates, key=lambda perm: _profile(g, perm)))
 
 
-def _frontier_profile(order: EdgeOrder) -> tuple[int, int]:
-    return order.frontier_width, sum(1 << len(s) for s in order.frontier_sets)
+def _profile(g: Graph, perm: list[int]) -> tuple[int, int]:
+    sizes = [len(live) for live in _frontiers(g, perm)]
+    return max(sizes, default=0), sum(1 << n for n in sizes)
 
 
 def pseudo_peripheral(g: Graph, start: int) -> int:
@@ -390,7 +392,10 @@ def bfs_order(g: Graph, start: int | None = None) -> EdgeOrder:
         start = default_root(g)
     elif not 1 <= start <= g.vertex_count:
         raise GraphError(f"start vertex {start} out of range")
+    return _edge_order(g, _bfs_edges(g, start))
 
+
+def _bfs_edges(g: Graph, start: int) -> list[int]:
     seen_edge = [False] * len(g.edges)
     seen_vertex = [False] * (g.vertex_count + 1)
     seen_vertex[start] = True
@@ -412,10 +417,13 @@ def bfs_order(g: Graph, start: int | None = None) -> EdgeOrder:
                 queue.append(w)
     if len(perm) != len(g.edges):
         raise GraphError("edge order did not reach every edge; graph disconnected")
+    return perm
 
-    # a vertex is on the frontier from its first edge until its last
+
+def _frontiers(g: Graph, perm: list[int]):
+    """The frontier after each step of perm, as one set updated in place:
+    a vertex is on it from its first edge until its last."""
     undecided = [len(a) for a in g.adjacency]
-    sets: list[frozenset[int]] = [frozenset()]
     live: set[int] = set()
     for idx in perm:
         u, v, _ = g.edges[idx]
@@ -426,9 +434,12 @@ def bfs_order(g: Graph, start: int | None = None) -> EdgeOrder:
                 live.add(z)
             else:
                 live.discard(z)
-        sets.append(frozenset(live))
-    width = max((len(s) for s in sets), default=0)
-    return EdgeOrder(tuple(perm), tuple(sets), width)
+        yield live
+
+
+def _edge_order(g: Graph, perm: list[int]) -> EdgeOrder:
+    sets = (frozenset(),) + tuple(frozenset(live) for live in _frontiers(g, perm))
+    return EdgeOrder(tuple(perm), sets, max(len(f) for f in sets))
 
 
 # ---------------------------------------------------------------------------
