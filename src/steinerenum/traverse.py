@@ -191,7 +191,7 @@ def enumerate_trees(
         trees.append(SteinerTree(frozenset(edges), f))
         peak = max(peak, len(heap))
         if entry_budget is not None and len(heap) > entry_budget:
-            raise EntryBudgetExceeded(entry_budget, len(trees), len(heap))
+            raise EntryBudgetExceeded(entry_budget, min(len(trees), k), len(heap))
 
     trees.sort(key=lambda t: (t.cost, t.sorted_edges()))
     truncated = bool(heap) or len(trees) > k

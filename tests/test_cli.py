@@ -588,7 +588,6 @@ class TestDeterminism:
             outputs.add(proc.stdout)
         assert len(outputs) == 1
 
-
     def test_shuffled_edge_lines_write_the_same_trees(self, tmp_path):
         lines = write_stp(grid_graph(4, 4, [1, 4, 13, 16])).splitlines()
         at = [i for i, line in enumerate(lines) if line.startswith("E ")]

@@ -236,7 +236,7 @@ class TestOrderEdges:
         assert order.frontier_sets[0] == frozenset()
         assert order.frontier_sets[-1] == frozenset()
 
-    def test_bfs_default_start_is_min_degree_terminal(self):
+    def test_default_start_is_min_degree_terminal(self):
         # terminal 4 has degree 1, terminal 1 degree 2
         g = Graph(
             4, ((1, 2, 1), (1, 3, 1), (2, 3, 1), (3, 4, 1)), frozenset({1, 4})
@@ -245,12 +245,12 @@ class TestOrderEdges:
         u, v, _ = g.edges[order.permutation[0]]
         assert 4 in (u, v)
 
-    def test_bfs_explicit_start(self, triangle):
+    def test_explicit_start(self, triangle):
         order = bfs_order(triangle, start=2)
         u, v, _ = triangle.edges[order.permutation[0]]
         assert 2 in (u, v)
 
-    def test_bfs_start_out_of_range(self, triangle):
+    def test_start_out_of_range(self, triangle):
         with pytest.raises(GraphError):
             bfs_order(triangle, start=9)
 

@@ -211,6 +211,19 @@ class TestEnumerate:
         assert info.value.live > 3
         assert info.value.written == 1
 
+    def test_entry_budget_holds_while_popping_ties(self):
+        # unit 3x3 grid, opposite corners: six paths tie at cost 4, and
+        # the heap outgrows 5 entries on the second of them
+        g = grid_graph(3, 3, [1, 9])
+        g = Graph(
+            g.vertex_count, tuple((u, v, 1) for u, v, _ in g.edges), g.terminals
+        )
+        red = reduce_bdd(build(g))
+        assert enumerate_trees(red, k=1).sink_arrivals == 6
+        with pytest.raises(EntryBudgetExceeded) as info:
+            enumerate_trees(red, k=1, entry_budget=5)
+        assert info.value.written == 1
+
     def test_bad_arguments(self, triangle):
         red = reduce_bdd(build(triangle))
         with pytest.raises(TraversalError):
