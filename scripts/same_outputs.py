@@ -11,9 +11,10 @@ command whose exit code, stdout or stderr differ is printed.  The exit
 status is 1 if any differ, else 0.
 
 The instances are the benchmark's (``perfbench/instances.py``, seeds
-0-4).  The 90 commands are ``enumerate`` with each workload's own flags
-on every instance of every workload, and, on the grid-topk and
-grid-build instances, the six commands in ``GRID_COMMANDS``.
+0-4).  The 105 commands are ``enumerate`` with each workload's own flags
+on every instance of every workload; on the grid-topk and grid-build
+instances, the seven commands in ``GRID_COMMANDS``; and ``stats`` on
+instance 0 of each sparse-seeded seed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ GRID_COMMANDS = (
     ("count", "--no-simplify"),
     ("enumerate", "--no-seeds", "--k", "50"),
     ("enumerate", "--k", "50", "--perturb", "0.3"),
+    ("stats",),
 )
 
 
@@ -53,6 +55,8 @@ def commands(work: Path) -> list[tuple[str, ...]]:
                 if w.name in GRID_WORKLOADS:
                     out.extend((cmd, "--input", str(stp), *flags)
                                for cmd, *flags in GRID_COMMANDS)
+                elif i == 0:
+                    out.append(("stats", "--input", str(stp)))
     return out
 
 

@@ -16,7 +16,9 @@ incoming paths; the exact filter happens during traversal.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, GraphError, EdgeOrder
 
@@ -61,8 +63,8 @@ class Bdd:
     edge_order: tuple[int, ...]
     edge_costs: tuple[int, ...]
     root: int
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
+    lo: array
+    hi: array
     levels: tuple[range, ...]
 
     @property
@@ -85,8 +87,7 @@ class Bdd:
         return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class _Step:
+class _Step(NamedTuple):
     """Static data for deciding the i-th ordered edge (u, v).
 
     A state entering step i covers ``order.frontier_sets[i-1]``; with
@@ -97,7 +98,7 @@ class _Step:
     """
 
     cost: int
-    fresh: tuple[tuple[int, bool, int], ...]  # endpoints entering here
+    fresh: tuple[int, ...]  # entries of the endpoints entering here
     iu: int
     iv: int
     keep: tuple[int, ...]  # index of each vertex of frontier_sets[i]
@@ -111,14 +112,17 @@ class FrontierSearch:
     """The frontier step, shared by construction and the unit tests.
 
     A state is the immutable tuple stored for a node at level i: one
-    ``(representative, component holds a terminal, degree)`` entry per
-    vertex of ``order.frontier_sets[i-1]`` in ascending vertex order.  A
+    entry per vertex of ``order.frontier_sets[i-1]`` in ascending vertex
+    order.  An entry is one int, ``rep << shift | degree << 1 |
+    terminal``: the vertex's component representative, its degree among
+    the chosen edges, and whether its component holds a terminal.  A
     component's representative is its first frontier vertex, so equal
     tuples mean equal partitions, and the tuple is its own merge key.
-    Exact terminal counts and the path cost are not stored: the first
-    follows from the tuple and the level, and the cost is the caller's
-    concern.  ``branches`` decides one edge for one state, both ways, in
-    a single pass.
+    ``shift`` leaves room for the graph's largest degree, so equal
+    entries are equal triples.  Exact terminal counts and the path cost
+    are not stored: the first follows from the tuple and the level, and
+    the cost is the caller's concern.  ``branches`` decides one edge for
+    one state, both ways, in a single pass.
     """
 
     def __init__(self, g: Graph, order: EdgeOrder):
@@ -126,6 +130,8 @@ class FrontierSearch:
             raise GraphError("enumeration needs at least two terminals")
         if len(order.permutation) != len(g.edges):
             raise GraphError("edge order does not match the graph")
+        self.shift = shift = max(map(len, g.adjacency)).bit_length() + 1
+        self.degree_mask = (1 << shift) - 2
         terms = g.terminals
         unseen = set(terms)
         self.steps: list[_Step | None] = [None]
@@ -140,7 +146,7 @@ class FrontierSearch:
             keep = tuple(at[f] for f in kept)
             self.steps.append(_Step(
                 cost=c,
-                fresh=tuple((z, z in terms, 0) for z in entering),
+                fresh=tuple(z << shift | (z in terms) for z in entering),
                 iu=at[u],
                 iv=at[v],
                 keep=keep,
@@ -176,68 +182,72 @@ class FrontierSearch:
         component one of them named is renamed after its first remaining
         vertex; other entries are reused.  An emptied frontier is ZERO.
         """
-        step = self.steps[i]
-        ext = state + step.fresh
-        iu, iv = step.iu, step.iv
-        cu, tu, _ = ext[iu]
-        cv, tv, _ = ext[iv]
-        # leaving vertices that name their component, and the degrees of
-        # the leaving non-terminals
-        gone = [z for j, z, _ in step.dropped if ext[j][0] == z]
-        leaving = [ext[j][2] for j, _, nonterminal in step.dropped if nonterminal]
+        _, fresh, iu, iv, keep, kept, nonterminal, dropped, all_seen = self.steps[i]
+        shift, degree = self.shift, self.degree_mask
+        ext = state + fresh
+        eu, ev = ext[iu], ext[iv]
+        cu, cv = eu >> shift, ev >> shift
+        if dropped:
+            # leaving vertices that name their component, and the degree
+            # fields of the leaving non-terminals (2 is degree 1)
+            gone = [z for j, z, _ in dropped if ext[j] >> shift == z]
+            leaving = [ext[j] & degree for j, _, nt in dropped if nt]
+        else:
+            gone = leaving = ()
 
-        if 1 in leaving:
+        if 2 in leaving:
             lo = ZERO
         elif gone:
-            lo, sealed = _renamed([ext[j] for j in step.keep], step.kept, gone)
-            if tu and cu in sealed or tv and cv in sealed:
+            lo, sealed = _renamed([ext[j] for j in keep], kept, gone, shift)
+            if eu & 1 and cu in sealed or ev & 1 and cv in sealed:
                 lo = ZERO
         else:
-            lo = tuple([ext[j] for j in step.keep]) or ZERO
+            lo = tuple([ext[j] for j in keep]) or ZERO
 
         if not include or 0 in leaving or cu == cv:
             return lo, ZERO
         holds_all = False
-        if step.all_seen:
+        if all_seen:
             # entered terminals are all on the frontier, or all sealed off
-            holders = {rep for rep, t, _ in ext if t}
+            holders = {e >> shift for e in ext if e & 1}
             holds_all = bool(holders) and holders <= {cu, cv}
 
         m = cu if cu < cv else cv
-        t = tu or tv
+        t = (eu | ev) & 1
+        merged = m << shift | t
         out = []
-        for j in step.keep:
+        for j in keep:
             entry = ext[j]
-            rep = entry[0]
+            rep = entry >> shift
             if rep == cu or rep == cv:
-                entry = (m, t, entry[2] + (j == iu) + (j == iv))
+                entry = merged | (entry & degree) + (((j == iu) + (j == iv)) << 1)
             out.append(entry)
         if holds_all and not any(
-            d == 1 and nonterminal
-            for (_, _, d), nonterminal in zip(out, step.nonterminal)
+            entry & degree == 2 and nt for entry, nt in zip(out, nonterminal)
         ):
             return lo, ONE
         if not gone:
             return lo, tuple(out) or ZERO
-        hi, sealed = _renamed(out, step.kept, gone)
+        hi, sealed = _renamed(out, kept, gone, shift)
         if m in sealed and t and not holds_all:
             hi = ZERO
         return lo, hi
 
 
-def _renamed(entries: list, vertices: tuple[int, ...], gone: list[int]):
+def _renamed(entries: list, vertices: tuple[int, ...], gone: list[int], shift: int):
     """Entries with each component named after a vertex in ``gone``
     renamed after its first vertex, or ZERO for an empty frontier, and
     the names in ``gone`` that no entry carries: the components sealed
     at this step."""
+    fields = (1 << shift) - 1
     sealed = []
     for z in gone:
         first = None
-        for k, (rep, t, d) in enumerate(entries):
-            if rep == z:
+        for k, entry in enumerate(entries):
+            if entry >> shift == z:
                 if first is None:
-                    first = vertices[k]
-                entries[k] = (first, t, d)
+                    first = vertices[k] << shift
+                entries[k] = first | entry & fields
         if first is None:
             sealed.append(z)
     return tuple(entries) or ZERO, sealed
@@ -259,15 +269,16 @@ def construct_bdd(
     cost into them, so an inclusion dies when even the cheapest path
     into its node, plus the edge, exceeds theta.  Ids are contiguous per
     level and nodes are decided in id order, so each node's arcs are
-    appended as it is decided.
+    appended to the ``lo``/``hi`` arrays as it is decided, and the
+    arrays become the diagram's.
     """
     search = FrontierSearch(g, order)
     if theta is not None and theta < 0:
         raise GraphError("theta must be non-negative")
     m = len(order.permutation)
 
-    lo: list[int] = [-1, -1]
-    hi: list[int] = [-1, -1]
+    lo = array("q", (-1, -1))
+    hi = array("q", (-1, -1))
     levels: list[range] = [range(0), range(2, 3)]  # the root 2 is level 1
     states: list[tuple] = [()]
     costs: list[int] = [0]  # cheapest path cost into each node of a level
@@ -315,7 +326,7 @@ def construct_bdd(
         edge_order=tuple(order.permutation),
         edge_costs=tuple(g.edges[idx][2] for idx in order.permutation),
         root=2,
-        lo=tuple(lo),
-        hi=tuple(hi),
+        lo=lo,
+        hi=hi,
         levels=tuple(levels),
     )

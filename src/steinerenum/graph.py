@@ -8,8 +8,9 @@ the map needed to expand trees back onto the original edge set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from collections import deque
 import math
 
@@ -305,12 +306,25 @@ class EdgeOrder:
     ``permutation[i-1]`` is the original edge index processed at step i.
     ``frontier_sets[i]`` is the frontier after step i: vertices incident
     to both processed and unprocessed edges.  ``frontier_sets[0]`` and
-    ``frontier_sets[m]`` are empty for connected inputs.
+    ``frontier_sets[m]`` are empty for connected inputs.  The sets take
+    O(m × width) memory, so an order built from ``graph`` (with ``sets``
+    None) makes them on first use; ``frontier_width`` needs none of
+    them.  Orders compare by permutation and width.
     """
 
     permutation: tuple[int, ...]
-    frontier_sets: tuple[frozenset[int], ...]
+    sets: InitVar[tuple[frozenset[int], ...] | None]
     frontier_width: int
+    graph: Graph | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self, sets):
+        if sets is not None:
+            self.__dict__["frontier_sets"] = sets
+
+    @cached_property
+    def frontier_sets(self) -> tuple[frozenset[int], ...]:
+        frontiers = _frontiers(self.graph, self.permutation)
+        return (frozenset(),) + tuple(frozenset(live) for live in frontiers)
 
 
 def default_root(g: Graph) -> int:
@@ -330,7 +344,7 @@ def order_edges(g: Graph) -> EdgeOrder:
     first on a tie.  Neither candidate is better on every graph: a BFS
     from one end of a long axis keeps the frontier across the short one,
     but on some graphs the default root is the better start.  Only the
-    winner's frontier sets are built.
+    winner's frontier sets are built, and only when asked for.
     """
     root = default_root(g)
     candidates = (_bfs_edges(g, root), _bfs_edges(g, pseudo_peripheral(g, root)))
@@ -438,8 +452,8 @@ def _frontiers(g: Graph, perm: list[int]):
 
 
 def _edge_order(g: Graph, perm: list[int]) -> EdgeOrder:
-    sets = (frozenset(),) + tuple(frozenset(live) for live in _frontiers(g, perm))
-    return EdgeOrder(tuple(perm), sets, max(len(f) for f in sets))
+    width = max((len(live) for live in _frontiers(g, perm)), default=0)
+    return EdgeOrder(tuple(perm), sets=None, frontier_width=width, graph=g)
 
 
 # ---------------------------------------------------------------------------

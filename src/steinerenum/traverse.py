@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import mul
 
 from .frontier import Bdd, ZERO, ONE
 from .graph import Graph, GraphError, SteinerTree
@@ -41,52 +44,54 @@ def reduce_bdd(bdd: Bdd) -> Bdd:
     surviving diagram has no node with both arcs at the 0-sink, every
     node reaches the 1-sink, and the set of root-to-1-sink paths (hence
     the tree count) is untouched.  Since ids are contiguous per level
-    and arcs point to a sink or to the next level, one pass over the ids
-    from the last decides liveness, and one pass over the levels
-    renumbers the live ids compactly, keeping that layout: arcs that
-    stay keep their next-level target.  If the root itself dies the
-    result has root 0 and no nodes.
+    and arcs point to a sink or to the next level, liveness is decided
+    level by level from the last, into a ``bytearray``.  The live ids
+    keep their order and that layout: a live node's new id is the
+    number of live ids up to it, the 1-sink included, so the running
+    sum of the liveness bytes, zeroed at dead ids, is the renumbering
+    (an ``array('q')``), and each level's live arcs go through it
+    straight into the new arrays.  If the root itself dies the result
+    has root 0 and no nodes.
     """
     lo, hi = bdd.lo, bdd.hi
-    alive = [False] * len(lo)
-    alive[ONE] = True
-    for nid in range(len(lo) - 1, 1, -1):
-        alive[nid] = alive[lo[nid]] or alive[hi[nid]]
+    alive = bytearray(len(lo))
+    alive[ONE] = 1
+    for ids in reversed(bdd.levels):
+        a, b = ids.start, ids.stop
+        alive[a:b] = bytes([alive[x] | alive[y] for x, y in zip(lo[a:b], hi[a:b])])
 
-    # dead nodes map to the 0-sink, which only a dead root still needs
-    remap = [ZERO] * len(lo)
-    remap[ONE] = ONE
-    live: list[int] = []
+    # dead ids map to the 0-sink, and so do arcs into them and a dead root
+    remap = array("q", map(mul, accumulate(alive), alive))
+    new_lo = array("q", (-1, -1))
+    new_hi = array("q", (-1, -1))
     levels = [range(0)]
-    next_id = 2
     for ids in bdd.levels[1:]:
-        first = next_id
-        for nid in ids:
-            if alive[nid]:
-                remap[nid] = next_id
-                live.append(nid)
-                next_id += 1
-        levels.append(range(first, next_id))
+        a, b = ids.start, ids.stop
+        first, kept = len(new_lo), alive[a:b]
+        new_lo.fromlist([remap[x] for x in compress(lo[a:b], kept)])
+        new_hi.fromlist([remap[y] for y in compress(hi[a:b], kept)])
+        levels.append(range(first, len(new_lo)))
 
     return Bdd(
         edge_order=bdd.edge_order,
         edge_costs=bdd.edge_costs,
         root=remap[bdd.root],
-        lo=(-1, -1) + tuple(remap[lo[nid]] for nid in live),
-        hi=(-1, -1) + tuple(remap[hi[nid]] for nid in live),
+        lo=new_lo,
+        hi=new_hi,
         levels=tuple(levels),
     )
 
 
 def count_trees(bdd: Bdd) -> int:
     """Exact number of root-to-1-sink paths (arbitrary precision), in
-    one pass over the ids from the last, as arcs point to later ids:
-    ``ways[ONE] = 1``, ``ways[ZERO] = 0``."""
+    one pass over the levels from the last, as arcs point to the next
+    level: ``ways[ONE] = 1``, ``ways[ZERO] = 0``."""
     lo, hi = bdd.lo, bdd.hi
     ways = [0] * len(lo)
     ways[ONE] = 1
-    for nid in range(len(lo) - 1, 1, -1):
-        ways[nid] = ways[lo[nid]] + ways[hi[nid]]
+    for ids in reversed(bdd.levels):
+        a, b = ids.start, ids.stop
+        ways[a:b] = [ways[x] + ways[y] for x, y in zip(lo[a:b], hi[a:b])]
     return ways[bdd.root]
 
 
@@ -112,14 +117,16 @@ class EnumerationResult:
 
 def _cheapest_completions(bdd: Bdd) -> list[float]:
     """Cost of the cheapest path from each node to the 1-sink, in one
-    bottom-up pass: ``best[ONE] = 0``, ZERO (and every node that cannot
-    reach the 1-sink) is ``math.inf``."""
-    best = [math.inf] * len(bdd.lo)
+    bottom-up pass over the levels: ``best[ONE] = 0``, ZERO (and every
+    node that cannot reach the 1-sink) is ``math.inf``."""
+    lo, hi = bdd.lo, bdd.hi
+    best = [math.inf] * len(lo)
     best[ONE] = 0
-    for level in range(bdd.level_count, 0, -1):
-        edge_cost = bdd.edge_costs[level - 1]
-        for nid in bdd.levels[level]:
-            best[nid] = min(best[bdd.lo[nid]], best[bdd.hi[nid]] + edge_cost)
+    for ids, edge_cost in zip(reversed(bdd.levels), reversed(bdd.edge_costs)):
+        a, b = ids.start, ids.stop
+        for nid, x, y in zip(ids, lo[a:b], hi[a:b]):
+            via_lo, via_hi = best[x], best[y] + edge_cost
+            best[nid] = via_hi if via_hi < via_lo else via_lo
     return best
 
 
@@ -164,15 +171,17 @@ def enumerate_trees(
     pushes = 1
     peak = 1
     trees: list[SteinerTree] = []
+    lo_arcs, hi_arcs = bdd.lo, bdd.hi
+    edge_costs, edge_order = bdd.edge_costs, bdd.edge_order
     while heap and (len(trees) < k or heap[0][0] == trees[-1].cost):
         f, _, nid, level, path = heapq.heappop(heap)
         prefix = f - best[nid]
         while nid != ONE:
-            edge_cost = bdd.edge_costs[level - 1]
-            lo, hi = bdd.lo[nid], bdd.hi[nid]
+            edge_cost = edge_costs[level - 1]
+            lo, hi = lo_arcs[nid], hi_arcs[nid]
             lo_f = prefix + best[lo]
             hi_f = prefix + edge_cost + best[hi]
-            included = (bdd.edge_order[level - 1], path)
+            included = (edge_order[level - 1], path)
             level += 1
             if lo_f <= hi_f:
                 if hi_f <= limit:

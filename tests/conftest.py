@@ -35,9 +35,10 @@ def random_connected_graph(
     terminal_sizes=(2, 3, 4),
     weight_lo: int = 1,
     weight_hi: int = 10,
+    min_vertices: int = 2,
 ) -> Graph:
     """Random simple connected graph: spanning tree plus extra edges."""
-    n = rng.randint(2, max_vertices)
+    n = rng.randint(min_vertices, max_vertices)
     order = list(range(1, n + 1))
     rng.shuffle(order)
     edges = []
@@ -85,6 +86,20 @@ def add_parallel_edge_and_loop(
     z = rng.choice(pool)
     edges.insert(rng.randrange(len(edges) + 1), (z, z, rng.randint(0, 10)))
     return Graph(g.vertex_count, tuple(edges), g.terminals)
+
+
+def add_hub(g: Graph, rng: random.Random, degree: int) -> Graph:
+    """Add a vertex joined to every vertex of g, and by parallel edges to
+    random ones until it has ``degree`` edges, each new edge at a random
+    position in the edge list.  The hub is a terminal half the time."""
+    hub = g.vertex_count + 1
+    ends = list(range(1, hub))
+    ends += [rng.randrange(1, hub) for _ in range(degree - len(ends))]
+    edges = list(g.edges)
+    for z in ends:
+        edges.insert(rng.randrange(len(edges) + 1), (z, hub, rng.randint(1, 10)))
+    terminals = g.terminals | {hub} if rng.random() < 0.5 else g.terminals
+    return Graph(hub, tuple(edges), terminals)
 
 
 def grid_graph(rows: int, cols: int, terminals, weight_seed: int = 7) -> Graph:

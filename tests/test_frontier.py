@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from steinerenum import (
 )
 from steinerenum.frontier import ONE, ZERO
 from .conftest import (
+    add_hub,
     add_parallel_edge_and_loop,
     grid_graph,
     random_connected_graph,
@@ -51,6 +53,28 @@ def decoded_subsets(bdd):
     return set(found)
 
 
+class TripleSearch:
+    """``FrontierSearch`` with states spelled as tuples of
+    ``(representative, component holds a terminal, degree)`` triples,
+    as the reference step and the literals below spell them.  Each
+    state is packed on the way in and every successor unpacked on the
+    way out."""
+
+    def __init__(self, g, order):
+        self.packed = FrontierSearch(g, order)
+        self.steps = self.packed.steps
+
+    def branches(self, state, i, include):
+        shift, degree = self.packed.shift, self.packed.degree_mask
+        entries = tuple(rep << shift | d << 1 | t for rep, t, d in state)
+        return tuple(
+            target if target in (ZERO, ONE) else tuple(
+                (e >> shift, bool(e & 1), (e & degree) >> 1) for e in target
+            )
+            for target in self.packed.branches(entries, i, include)
+        )
+
+
 def walk_states(search, bits):
     """State after deciding the first len(bits) edges, checking that no
     decision on the way reaches a sink."""
@@ -59,6 +83,16 @@ def walk_states(search, bits):
         state = search.branches(state, i, True)[x]
         assert state not in (ZERO, ONE)
     return state
+
+
+def hub_graph(rng):
+    """Nine vertices and a hub joined to each, once more by a parallel
+    edge: degree 10.  States reach hub degree 8 on about a third of
+    these, beyond a degree field of three bits."""
+    g = random_connected_graph(
+        rng, max_vertices=9, min_vertices=9, max_edges=9, terminal_sizes=(2, 5, 9)
+    )
+    return add_hub(g, rng, degree=10)
 
 
 def merge_cost_graph():
@@ -83,7 +117,7 @@ class TestTriangleTrace:
     def setup(self, triangle):
         order = order_edges(triangle)
         assert order.permutation == (0, 2, 1)
-        return triangle, order, FrontierSearch(triangle, order)
+        return triangle, order, TripleSearch(triangle, order)
 
     def test_first_step_states(self, setup):
         _, _, search = setup
@@ -178,7 +212,7 @@ class TestSinkRules:
         )
         sets = [(), (3, 4), (3, 5), (1, 2, 3, 5), (2, 5), ()]
         order = EdgeOrder((0, 1, 2, 3, 4), tuple(map(frozenset, sets)), 4)
-        search = FrontierSearch(g, order)
+        search = TripleSearch(g, order)
         path = walk_states(search, (1, 1))
         assert path == ((3, False, 1), (3, False, 1))
         assert search.steps[3].all_seen
@@ -223,7 +257,7 @@ class TestMerging:
         )
         order = order_edges(g)
         assert order.permutation == (2, 3, 0, 4, 1)
-        search = FrontierSearch(g, order)
+        search = TripleSearch(g, order)
         a = walk_states(search, (0, 1, 1, 1))
         b = walk_states(search, (1, 0, 1, 1))
         assert a == b == ((4, True, 1), (5, True, 1))
@@ -235,7 +269,7 @@ class TestMerging:
             ((1, 4, 5), (1, 2, 3), (2, 3, 10), (3, 4, 8)),
             frozenset({1, 2, 3}),
         )
-        search = FrontierSearch(g, order_edges(g))
+        search = TripleSearch(g, order_edges(g))
         joined = walk_states(search, (1, 1, 1))
         split = walk_states(search, (0, 1, 1))
         assert joined == ((3, True, 1), (3, True, 1))
@@ -251,7 +285,7 @@ class TestMerging:
             ),
             frozenset({1, 3, 5}),
         )
-        search = FrontierSearch(g, order_edges(g))
+        search = TripleSearch(g, order_edges(g))
         base = walk_states(search, (1, 0, 1, 1, 1))
         no_term = walk_states(search, (0, 1, 1, 1, 1))
         deg0 = walk_states(search, (1, 1, 1, 1, 0))
@@ -306,7 +340,7 @@ class TestRenaming:
         )
         order = order_edges(g)
         assert order.permutation == (0, 3, 1, 2)
-        return FrontierSearch(g, order)
+        return TripleSearch(g, order)
 
     def test_renamed_on_both_branches(self, search):
         # with (1,2) taken, 1 names the component {1, 2}
@@ -332,15 +366,18 @@ class TestAgainstThreePredicateStep:
     def test_identical_diagrams(self):
         """The fused step builds byte-identical diagrams, before and
         after reduction, to the three-predicate step it replaced, on
-        simple graphs and on multigraphs with a parallel edge and a
-        self-loop."""
+        simple graphs, on multigraphs with a parallel edge and a
+        self-loop, and on graphs with a hub (see ``hub_graph``)."""
         rng = random.Random(5)
-        for n in range(1500):
-            g = random_connected_graph(rng)
-            if n % 3 == 0:
-                g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
-            if n >= 1200:
-                g = add_parallel_edge_and_loop(g, rng, n % 2 == 0)
+        for n in range(1540):
+            if n >= 1500:
+                g = hub_graph(rng)
+            else:
+                g = random_connected_graph(rng)
+                if n % 3 == 0:
+                    g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+                if n >= 1200:
+                    g = add_parallel_edge_and_loop(g, rng, n % 2 == 0)
             order = order_edges(g)
             for theta in (None, 0, 5, 10, 20, 40):
                 bdd = construct_bdd(g, order, theta)
@@ -351,15 +388,18 @@ class TestAgainstThreePredicateStep:
     def test_identical_steps(self):
         """Both branches of every reachable state match the reference's
         sink predicates and successors, unmerged nodes included, on
-        simple graphs and on multigraphs with a parallel edge and a
-        self-loop."""
+        simple graphs, on multigraphs with a parallel edge and a
+        self-loop, and on graphs with a hub (see ``hub_graph``)."""
         rng = random.Random(11)
-        for n in range(300):
-            g = random_connected_graph(rng, max_vertices=7, max_edges=10)
-            if n >= 150:
-                g = add_parallel_edge_and_loop(g, rng, n % 2 == 0)
+        for n in range(340):
+            if n >= 300:
+                g = hub_graph(rng)
+            else:
+                g = random_connected_graph(rng, max_vertices=7, max_edges=10)
+                if n >= 150:
+                    g = add_parallel_edge_and_loop(g, rng, n % 2 == 0)
             order = order_edges(g)
-            search = FrontierSearch(g, order)
+            search = TripleSearch(g, order)
             ref = ReferenceFrontierSearch(g, order)
             states = [()]
             for i in range(1, len(order.permutation) + 1):
@@ -413,6 +453,31 @@ class TestLayout:
                                 assert t in (ZERO, ONE) or t in nxt
                     if ranged:
                         assert all(type(lvl) is range for lvl in d.levels)
+
+
+class TestStorage:
+    def test_6x8_corner_grid_memory(self):
+        """Arcs are two ``array('q')``, so the constructed diagram holds
+        at most 24 B per node (54 B when they were tuples of ints), and
+        ``reduce_bdd`` peaks at most at half the 8,433,464 B it took with
+        a remap list and a list of live ids (tracemalloc, Python 3.11)."""
+        g = grid_graph(6, 8, [1, 8, 41, 48])
+        order = order_edges(g)
+        order.frontier_sets  # built before measuring
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bdd = construct_bdd(g, order)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            reduce_bdd(bdd)
+            reduce_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert bdd.node_count == 87_624
+        assert held <= 24 * bdd.node_count
+        assert reduce_peak <= 8_433_464 // 2
 
 
 class TestCapacityAndValidation:
