@@ -11,10 +11,12 @@ command whose exit code, stdout or stderr differ is printed.  The exit
 status is 1 if any differ, else 0.
 
 The instances are the benchmark's (``perfbench/instances.py``, seeds
-0-4).  The 105 commands are ``enumerate`` with each workload's own flags
+0-4).  The 115 commands are ``enumerate`` with each workload's own flags
 on every instance of every workload; on the grid-topk and grid-build
-instances, the seven commands in ``GRID_COMMANDS``; and ``stats`` on
-instance 0 of each sparse-seeded seed.
+instances, the seven commands in ``GRID_COMMANDS``; and on instance 0 of
+each sparse-seeded seed, ``stats`` and the two ``seeds`` commands in
+``SPARSE_COMMANDS``, which write the seed trees themselves at the default
+5% perturbation and at the benchmark's 1%.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ GRID_COMMANDS = (
     ("enumerate", "--k", "50", "--perturb", "0.3"),
     ("stats",),
 )
+SPARSE_COMMANDS = (
+    ("stats",),
+    ("seeds",),
+    ("seeds", "--perturb", "0.01"),
+)
 
 
 def commands(work: Path) -> list[tuple[str, ...]]:
@@ -56,7 +63,8 @@ def commands(work: Path) -> list[tuple[str, ...]]:
                     out.extend((cmd, "--input", str(stp), *flags)
                                for cmd, *flags in GRID_COMMANDS)
                 elif i == 0:
-                    out.append(("stats", "--input", str(stp)))
+                    out.extend((cmd, "--input", str(stp), *flags)
+                               for cmd, *flags in SPARSE_COMMANDS)
     return out
 
 

@@ -60,13 +60,45 @@ class UnreachableTerminal(GraphError):
     """A terminal cannot be reached from the seed root."""
 
 
-def _dijkstra(g: Graph, root: int, banned: frozenset[int]):
+def _pass_through(g: Graph) -> bytearray:
+    """Flag the vertices a seed search walks through without stopping.
+
+    A vertex is pass-through when it is not a terminal and has exactly
+    two edges, both of positive weight.  Every other vertex is a stop.
+    The two edges are distinct and neither is a self-loop on any vertex
+    a search reaches: a loop fills both places in its vertex's
+    adjacency, and that vertex, having no other edge, is cut off from
+    the terminals.
+    """
+    edges, terminals = g.edges, g.terminals
+    through = bytearray(g.vertex_count + 1)
+    for v, adj in enumerate(g.adjacency):
+        if len(adj) == 2 and v not in terminals:
+            if edges[adj[0]][2] > 0 and edges[adj[1]][2] > 0:
+                through[v] = 1
+    return through
+
+
+def _dijkstra(g: Graph, root: int, banned: frozenset[int], through: bytearray):
     """Single-source shortest paths ignoring banned edges.
 
     Tie-breaking is fixed: equal-distance relaxations prefer the
     lexicographically smallest (predecessor vertex, edge index), and the
     heap pops equal distances by vertex id, so the predecessor structure
     is reproducible bit for bit.
+
+    Only stop vertices enter the heap.  An arc into a pass-through vertex
+    (``through``, see ``_pass_through``) walks the chain to its first
+    stop and relaxes that with the chain's summed cost under the key
+    (last chain vertex, last edge); a banned edge makes the chain
+    unusable.  The chain's last vertex is then marked done, so each chain
+    is walked from one end only.  Chain vertices get no distance or
+    predecessor of their own.  The stops' results equal a search that
+    visits every vertex: with positive weights, a chain vertex on a
+    shortest path to the far stop has exactly one tight neighbour, the
+    one before it, so the far stop sees the same candidates and ties.  A
+    zero-weight edge can give a vertex two tight neighbours, so its ends
+    stay stops.
     """
     inf = math.inf
     edges, adjacency = g.edges, g.adjacency
@@ -76,6 +108,7 @@ def _dijkstra(g: Graph, root: int, banned: frozenset[int]):
     pred_vertex: list[int] = [0] * (g.vertex_count + 1)
     dist[root] = 0
     done = [False] * (g.vertex_count + 1)
+    done[0] = True  # no vertex 0: a walk that meets a banned edge ends there
     heap: list[tuple[float, int]] = [(0, root)]
     while heap:
         d, u = heappop(heap)
@@ -90,19 +123,37 @@ def _dijkstra(g: Graph, root: int, banned: frozenset[int]):
             if done[w]:
                 continue
             nd = d + cost
+            v = u
+            if through[w]:
+                while through[w]:
+                    v = w
+                    e1, e2 = adjacency[v]
+                    idx = e2 if e1 == idx else e1
+                    if idx in banned:
+                        w = 0
+                        break
+                    a, b, cost = edges[idx]
+                    w = b if a == v else a
+                    nd += cost
+                done[v] = True
+                if done[w]:
+                    continue
             if nd < dist[w]:
                 dist[w] = nd
-                pred_vertex[w] = u
+                pred_vertex[w] = v
                 pred_edge[w] = idx
                 heappush(heap, (nd, w))
-            elif nd == dist[w] and (u, idx) < (pred_vertex[w], pred_edge[w]):
-                pred_vertex[w] = u
+            elif nd == dist[w] and (v, idx) < (pred_vertex[w], pred_edge[w]):
+                pred_vertex[w] = v
                 pred_edge[w] = idx
     return dist, pred_edge, pred_vertex
 
 
 def tosp_tree(
-    g: Graph, root: int | None = None, banned: frozenset[int] = frozenset()
+    g: Graph,
+    root: int | None = None,
+    banned: frozenset[int] = frozenset(),
+    through: bytearray | None = None,
 ) -> SteinerTree:
     """Tree-of-shortest-paths heuristic.
 
@@ -110,21 +161,33 @@ def tosp_tree(
     structure.  Paths out of one predecessor tree form a tree whose
     leaves are the root or path ends, all of them terminals, so the
     result is already a minimal Steiner tree.
+
+    The search skips chains of pass-through vertices (see ``_dijkstra``);
+    a path is walked back through such a vertex by its other edge.
+    ``through`` is ``_pass_through(g)``, passed in by callers that search
+    one graph many times; without it each call builds its own.
     """
     if root is None:
         root = default_root(g)
     elif root not in g.terminals:
         raise GraphError(f"seed root {root} is not a terminal")
-    dist, pred_edge, _ = _dijkstra(g, root, banned)
+    if through is None:
+        through = _pass_through(g)
+    dist, pred_edge, _ = _dijkstra(g, root, banned, through)
+    adjacency = g.adjacency
     chosen: set[int] = set()
     for t in sorted(g.terminals):
         if dist[t] == math.inf:
             raise UnreachableTerminal(f"terminal {t} unreachable from root {root}")
-        v = t
+        v, idx = t, pred_edge[t]
         while v != root:
-            idx = pred_edge[v]
             chosen.add(idx)
             v = g.other_end(idx, v)
+            if through[v]:
+                e1, e2 = adjacency[v]
+                idx = e2 if e1 == idx else e1
+            else:
+                idx = pred_edge[v]
     return SteinerTree(frozenset(chosen), g.tree_cost(chosen))
 
 
@@ -150,7 +213,8 @@ def select_seeds(
     the root is drawn again; the shortest-path search that finds this is
     the one the tree is built from.
     """
-    trees: list[SteinerTree] = [tosp_tree(g, root)]
+    through = _pass_through(g)
+    trees: list[SteinerTree] = [tosp_tree(g, root, through=through)]
     m = len(g.edges)
     delete_count = math.ceil(cfg.perturb_fraction * m)
     for seed_index in range(1, cfg.num_seeds):
@@ -160,7 +224,7 @@ def select_seeds(
         for _ in range(cfg.max_retries):
             banned = frozenset(rng.sample(range(m), min(delete_count, m)))
             try:
-                trees.append(tosp_tree(g, root, banned))
+                trees.append(tosp_tree(g, root, banned, through))
             except UnreachableTerminal:
                 continue
             break

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through real subprocesses."""
 
+import gc
 import json
 import math
 import os
@@ -243,10 +244,13 @@ class TestExitCodes:
             ("seeds", "--seed-root", "x"),
             ("oracle", "--theta", "x"),
             ("enumerate", "--theta-ratio", "-1"),
+            ("enumerate", "--seed-root", "2"),
+            ("seeds", "--seed-root", "2"),
         ],
         ids=[
             "theta_ratio", "k", "seeds_file", "node_cap", "negative_theta",
             "seed_root", "oracle_theta", "negative_ratio",
+            "enumerate_non_terminal_root", "seeds_non_terminal_root",
         ],
     )
     def test_bad_flag_leaves_outputs_untouched(self, tri_path, tmp_path, args):
@@ -313,6 +317,27 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert "needs at least two terminals" in proc.stderr
         assert out.read_text() == report.read_text() == "kept\n"
+
+    def test_gc_thresholds_restored(self, tri_path, tmp_path, monkeypatch, capsys):
+        # main raises the generation-0 threshold for its run only; tests
+        # and other callers in the process keep theirs
+        seen = []
+
+        def stats(args, g, cfg):
+            seen.append(gc.get_threshold())
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_stats", stats)
+        before = gc.get_threshold()
+        try:
+            gc.set_threshold(123, 4, 5)
+            assert cli.main(["stats", "--input", tri_path]) == 0
+            assert gc.get_threshold() == (123, 4, 5)
+            assert seen[0][0] > 123
+            assert cli.main(["stats", "--input", str(tmp_path / "missing.stp")]) == 3
+            assert gc.get_threshold() == (123, 4, 5)
+        finally:
+            gc.set_threshold(*before)
 
     def test_failed_run_leaves_output_empty(self, tri_path, tmp_path):
         out = tmp_path / "diagram.txt"

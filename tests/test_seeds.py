@@ -1,5 +1,6 @@
 """Seed-tree heuristic: shortest-path trees, perturbation, union subgraph."""
 
+import heapq
 import math
 import random
 
@@ -18,7 +19,7 @@ from steinerenum import (
 )
 from steinerenum.seeds import (
     SeedSelection,
-    _dijkstra,
+    UnreachableTerminal,
     default_root,
 )
 from .conftest import random_connected_graph
@@ -28,7 +29,43 @@ from .conftest import random_connected_graph
 # search before each perturbed shortest-path tree, as it stood before
 # select_seeds built each tree from the search that checks reachability,
 # and with the leaf-stripping pass that tosp_tree dropped as a no-op on
-# its own output (test_matches_reference_with_retries pins that claim)
+# its own output (test_matches_reference_with_retries pins that claim).
+# Its search visits every vertex, where tosp_tree's skips degree-2 chains.
+
+
+def reference_dijkstra(g: Graph, root: int, banned: frozenset[int]):
+    """Shortest paths with the production tie rule, every vertex a stop."""
+    inf = math.inf
+    edges, adjacency = g.edges, g.adjacency
+    heappop, heappush = heapq.heappop, heapq.heappush
+    dist: list[float] = [inf] * (g.vertex_count + 1)
+    pred_edge: list[int] = [-1] * (g.vertex_count + 1)
+    pred_vertex: list[int] = [0] * (g.vertex_count + 1)
+    dist[root] = 0
+    done = [False] * (g.vertex_count + 1)
+    heap: list[tuple[float, int]] = [(0, root)]
+    while heap:
+        d, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for idx in adjacency[u]:
+            if idx in banned:
+                continue
+            a, b, cost = edges[idx]
+            w = b if a == u else a
+            if done[w]:
+                continue
+            nd = d + cost
+            if nd < dist[w]:
+                dist[w] = nd
+                pred_vertex[w] = u
+                pred_edge[w] = idx
+                heappush(heap, (nd, w))
+            elif nd == dist[w] and (u, idx) < (pred_vertex[w], pred_edge[w]):
+                pred_vertex[w] = u
+                pred_edge[w] = idx
+    return dist, pred_edge, pred_vertex
 
 
 def minimalize(edge_indices: set[int], g: Graph) -> set[int]:
@@ -58,7 +95,7 @@ def reference_tosp_tree(
         root = default_root(g)
     elif root not in g.terminals:
         raise GraphError(f"seed root {root} is not a terminal")
-    dist, pred_edge, _ = _dijkstra(g, root, banned)
+    dist, pred_edge, _ = reference_dijkstra(g, root, banned)
     chosen: set[int] = set()
     for t in sorted(g.terminals):
         if dist[t] == math.inf:
@@ -120,6 +157,48 @@ def reference_select_seeds(
     return SeedSelection(sub, edge_map, tuple(distinct), cfg.num_seeds)
 
 
+def chain_rich_graph(rng: random.Random) -> Graph:
+    """Small connected multigraph made of paths through fresh vertices.
+
+    A random spanning tree of paths joins 2-5 core vertices, and up to
+    four extras hang off random vertices: a path to any vertex (a
+    parallel edge when it has no inner vertex), a cycle back to its
+    start, a dead end or a self-loop.  Weights 0-3 make ties common and
+    put zero-weight edges inside chains; edge order is shuffled, and
+    terminals may sit inside a chain.
+    """
+    core = rng.randint(2, 5)
+    n = core
+    edges = []
+
+    def path(u, v, inner):  # v None: a dead end after the inner vertices
+        nonlocal n
+        prev = u
+        for _ in range(inner):
+            n += 1
+            edges.append((prev, n, rng.choice((0, 1, 1, 2, 3))))
+            prev = n
+        if v is not None:
+            edges.append((prev, v, rng.choice((0, 1, 1, 2, 3))))
+
+    for v in range(2, core + 1):
+        path(rng.randint(1, v - 1), v, rng.randint(0, 3))
+    for _ in range(rng.randint(0, 4)):
+        u = rng.randint(1, n)
+        kind = rng.randrange(4)
+        if kind == 0:
+            path(u, rng.randint(1, n), rng.randint(0, 3))
+        elif kind == 1:
+            path(u, u, rng.randint(1, 3))  # hanging cycle
+        elif kind == 2:
+            path(u, None, rng.randint(1, 3))
+        else:
+            path(u, u, 0)  # self-loop
+    rng.shuffle(edges)
+    terminals = rng.sample(range(1, n + 1), rng.randint(2, min(4, n)))
+    return Graph(n, tuple(edges), frozenset(terminals))
+
+
 class TestTosp:
     def test_triangle_prefers_cheap_path(self, triangle):
         t = tosp_tree(triangle)
@@ -159,6 +238,35 @@ class TestTosp:
             4, ((1, 2, 1), (1, 3, 1), (2, 3, 1), (3, 4, 1)), frozenset({1, 4})
         )
         assert default_root(g) == 4
+
+
+    def test_chain_skipping_matches_flat_search(self):
+        """The search that walks through degree-2 chains selects the flat
+        reference's tree, or fails as it does, from every terminal root
+        and with banned edges that cut chains."""
+        rng = random.Random(47)
+        compared = unreachable = 0
+        for _ in range(1500):
+            g = chain_rich_graph(rng)
+            m = len(g.edges)
+            bans = [frozenset()] + [
+                frozenset(rng.sample(range(m), min(m, rng.randint(1, 2))))
+                for _ in range(2)
+            ]
+            for root in sorted(g.terminals):
+                for banned in bans:
+                    try:
+                        want = reference_tosp_tree(g, root, banned)
+                    except GraphError:
+                        want = None
+                    try:
+                        got = tosp_tree(g, root, banned)
+                    except UnreachableTerminal:
+                        got = None
+                    assert got == want, (g, root, banned)
+                    compared += 1
+                    unreachable += want is None
+        assert compared > 10_000 and 0 < unreachable < compared
 
 
 class TestSelectSeeds:
