@@ -11,12 +11,14 @@ command whose exit code, stdout or stderr differ is printed.  The exit
 status is 1 if any differ, else 0.
 
 The instances are the benchmark's (``perfbench/instances.py``, seeds
-0-4).  The 115 commands are ``enumerate`` with each workload's own flags
+0-4).  The 120 commands are ``enumerate`` with each workload's own flags
 on every instance of every workload; on the grid-topk and grid-build
 instances, the seven commands in ``GRID_COMMANDS``; and on instance 0 of
-each sparse-seeded seed, ``stats`` and the two ``seeds`` commands in
-``SPARSE_COMMANDS``, which write the seed trees themselves at the default
-5% perturbation and at the benchmark's 1%.
+each sparse-seeded seed, the four commands in ``SPARSE_COMMANDS``:
+``stats``, ``build`` at the benchmark's 1% perturbation, which dumps the
+whole diagram built on the seeded search graph, and the two ``seeds``
+commands, which write the seed trees themselves at the default 5%
+perturbation and at the benchmark's 1%.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ GRID_COMMANDS = (
 )
 SPARSE_COMMANDS = (
     ("stats",),
+    ("build", "--perturb", "0.01"),
     ("seeds",),
     ("seeds", "--perturb", "0.01"),
 )

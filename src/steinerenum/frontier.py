@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, EdgeOrder
+from .graph import Graph, GraphError, EdgeOrder, frontiers
 
 ZERO = 0  # sink ids double as arc-target encoding and dump tokens
 ONE = 1
@@ -90,18 +90,18 @@ class Bdd:
 class _Step(NamedTuple):
     """Static data for deciding the i-th ordered edge (u, v).
 
-    A state entering step i covers ``order.frontier_sets[i-1]``; with
-    ``fresh`` appended it becomes the working sequence that every index
-    below points into.  Only u and v can leave at step i, and a
-    component is sealed here when no kept entry carries its
-    representative: none of its vertices touches an undecided edge.
+    A state entering step i covers the frontier F_{i-1} that the steps
+    before it leave; with ``fresh`` appended it becomes the working
+    sequence that every index below points into.  Only u and v can leave
+    at step i, and a component is sealed here when no kept entry carries
+    its representative: none of its vertices touches an undecided edge.
     """
 
     cost: int
     fresh: tuple[int, ...]  # entries of the endpoints entering here
     iu: int
     iv: int
-    keep: tuple[int, ...]  # index of each vertex of frontier_sets[i]
+    keep: tuple[int, ...]  # index of each vertex of F_i
     kept: tuple[int, ...]  # those vertices, ascending
     nonterminal: tuple[bool, ...]  # per kept vertex
     dropped: tuple[tuple[int, int, bool], ...]  # (index, vertex, non-terminal)
@@ -112,37 +112,39 @@ class FrontierSearch:
     """The frontier step, shared by construction and the unit tests.
 
     A state is the immutable tuple stored for a node at level i: one
-    entry per vertex of ``order.frontier_sets[i-1]`` in ascending vertex
-    order.  An entry is one int, ``rep << shift | degree << 1 |
-    terminal``: the vertex's component representative, its degree among
-    the chosen edges, and whether its component holds a terminal.  A
-    component's representative is its first frontier vertex, so equal
-    tuples mean equal partitions, and the tuple is its own merge key.
-    ``shift`` leaves room for the graph's largest degree, so equal
-    entries are equal triples.  Exact terminal counts and the path cost
-    are not stored: the first follows from the tuple and the level, and
-    the cost is the caller's concern.  ``branches`` decides one edge for
-    one state, both ways, in a single pass.
+    entry per vertex of the frontier F_{i-1} in ascending vertex order.
+    An entry is one int, ``rep << shift | degree << 1 | terminal``: the
+    vertex's component representative, its degree among the chosen
+    edges, and whether its component holds a terminal.  A component's
+    representative is its first frontier vertex, so equal tuples mean
+    equal partitions, and the tuple is its own merge key.  ``shift``
+    leaves room for the graph's largest degree, so equal entries are
+    equal triples.  Exact terminal counts and the path cost are not
+    stored: the first follows from the tuple and the level, and the cost
+    is the caller's concern.  ``branches`` decides one edge for one
+    state, both ways, in a single pass.  The steps follow from one walk
+    of the frontier over ``g``; the order must permute its edge indices.
     """
 
     def __init__(self, g: Graph, order: EdgeOrder):
         if len(g.terminals) < 2:
             raise GraphError("enumeration needs at least two terminals")
-        if len(order.permutation) != len(g.edges):
-            raise GraphError("edge order does not match the graph")
+        perm = order.permutation
+        if sorted(perm) != list(range(len(g.edges))):
+            raise GraphError("edge order is not a permutation of the graph's edges")
         self.shift = shift = max(map(len, g.adjacency)).bit_length() + 1
         self.degree_mask = (1 << shift) - 2
         terms = g.terminals
         unseen = set(terms)
         self.steps: list[_Step | None] = [None]
-        for i, idx in enumerate(order.permutation, 1):
+        before: tuple[int, ...] = ()  # F_{i-1}, ascending
+        for idx, live in zip(perm, frontiers(g, perm)):
             u, v, c = g.edges[idx]
-            before, after = order.frontier_sets[i - 1], order.frontier_sets[i]
             entering = [z for z in dict.fromkeys((u, v)) if z not in before]
             unseen.difference_update((u, v))
-            vertices = sorted(before) + entering
+            vertices = before + tuple(entering)
             at = {z: j for j, z in enumerate(vertices)}
-            kept = tuple(sorted(after))
+            kept = tuple(sorted(live))
             keep = tuple(at[f] for f in kept)
             self.steps.append(_Step(
                 cost=c,
@@ -158,6 +160,7 @@ class FrontierSearch:
                 ),
                 all_seen=not unseen,
             ))
+            before = kept
 
     def branches(self, state: tuple, i: int, include: bool) -> tuple:
         """Targets ``(lo, hi)`` of edge i from ``state``, each ZERO, ONE

@@ -8,9 +8,8 @@ the map needed to expand trees back onto the original edge set.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from collections import deque
 import math
 
@@ -303,28 +302,15 @@ def write_stp(g: Graph) -> str:
 class EdgeOrder:
     """A processing order for the layered search.
 
-    ``permutation[i-1]`` is the original edge index processed at step i.
-    ``frontier_sets[i]`` is the frontier after step i: vertices incident
-    to both processed and unprocessed edges.  ``frontier_sets[0]`` and
-    ``frontier_sets[m]`` are empty for connected inputs.  The sets take
-    O(m × width) memory, so an order built from ``graph`` (with ``sets``
-    None) makes them on first use; ``frontier_width`` needs none of
-    them.  Orders compare by permutation and width.
+    ``permutation[i-1]`` is the original edge index processed at step i,
+    and ``frontier_width`` is the largest frontier over the steps: the
+    vertices incident to both processed and unprocessed edges.  The
+    frontiers themselves follow from the order and the graph
+    (``frontiers``), so one order serves any graph with these edges.
     """
 
     permutation: tuple[int, ...]
-    sets: InitVar[tuple[frozenset[int], ...] | None]
     frontier_width: int
-    graph: Graph | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self, sets):
-        if sets is not None:
-            self.__dict__["frontier_sets"] = sets
-
-    @cached_property
-    def frontier_sets(self) -> tuple[frozenset[int], ...]:
-        frontiers = _frontiers(self.graph, self.permutation)
-        return (frozenset(),) + tuple(frozenset(live) for live in frontiers)
 
 
 def default_root(g: Graph) -> int:
@@ -343,16 +329,18 @@ def order_edges(g: Graph) -> EdgeOrder:
     with the smaller ``(frontier_width, sum of 2^|F_i|)`` wins, the
     first on a tie.  Neither candidate is better on every graph: a BFS
     from one end of a long axis keeps the frontier across the short one,
-    but on some graphs the default root is the better start.  Only the
-    winner's frontier sets are built, and only when asked for.
+    but on some graphs the default root is the better start.
     """
     root = default_root(g)
     candidates = (_bfs_edges(g, root), _bfs_edges(g, pseudo_peripheral(g, root)))
-    return _edge_order(g, min(candidates, key=lambda perm: _profile(g, perm)))
+    perm, (width, _) = min(
+        ((perm, _profile(g, perm)) for perm in candidates), key=lambda pair: pair[1]
+    )
+    return EdgeOrder(tuple(perm), width)
 
 
 def _profile(g: Graph, perm: list[int]) -> tuple[int, int]:
-    sizes = [len(live) for live in _frontiers(g, perm)]
+    sizes = [len(live) for live in frontiers(g, perm)]
     return max(sizes, default=0), sum(1 << n for n in sizes)
 
 
@@ -406,7 +394,10 @@ def bfs_order(g: Graph, start: int | None = None) -> EdgeOrder:
         start = default_root(g)
     elif not 1 <= start <= g.vertex_count:
         raise GraphError(f"start vertex {start} out of range")
-    return _edge_order(g, _bfs_edges(g, start))
+    elif g.edges and not g.adjacency[start]:
+        raise GraphError(f"start vertex {start} has no edges")
+    perm = _bfs_edges(g, start)
+    return EdgeOrder(tuple(perm), _profile(g, perm)[0])
 
 
 def _bfs_edges(g: Graph, start: int) -> list[int]:
@@ -434,7 +425,7 @@ def _bfs_edges(g: Graph, start: int) -> list[int]:
     return perm
 
 
-def _frontiers(g: Graph, perm: list[int]):
+def frontiers(g: Graph, perm):
     """The frontier after each step of perm, as one set updated in place:
     a vertex is on it from its first edge until its last."""
     undecided = [len(a) for a in g.adjacency]
@@ -449,11 +440,6 @@ def _frontiers(g: Graph, perm: list[int]):
             else:
                 live.discard(z)
         yield live
-
-
-def _edge_order(g: Graph, perm: list[int]) -> EdgeOrder:
-    width = max((len(live) for live in _frontiers(g, perm)), default=0)
-    return EdgeOrder(tuple(perm), sets=None, frontier_width=width, graph=g)
 
 
 # ---------------------------------------------------------------------------

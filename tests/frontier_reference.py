@@ -24,9 +24,9 @@ from steinerenum.graph import EdgeOrder, Graph, GraphError
 class _Step:
     """Static data for deciding the i-th ordered edge (u, v).
 
-    A state entering step i covers ``order.frontier_sets[i-1]``; with
-    ``fresh`` appended it becomes the working sequence that every index
-    below points into.
+    A state entering step i covers the frontier F_{i-1}; with ``fresh``
+    appended it becomes the working sequence that every index below
+    points into.
     """
 
     cost: int
@@ -37,7 +37,7 @@ class _Step:
     leaving: tuple[int, ...]  # non-terminal endpoints on their last edge
     nonterminal_ends: tuple[int, ...]
     others: tuple[tuple[int, bool], ...]  # (index, is a non-terminal)
-    plan: tuple[tuple[int, int], ...]  # (vertex, index), frontier_sets[i]
+    plan: tuple[tuple[int, int], ...]  # (vertex, index), F_i
     all_seen: bool  # every terminal has entered the frontier
 
 
@@ -46,7 +46,7 @@ class ReferenceFrontierSearch:
 
     A state is the immutable tuple stored for a node at level i: one
     ``(representative, component holds a terminal, degree)`` entry per
-    vertex of ``order.frontier_sets[i-1]`` in ascending vertex order.  A
+    vertex of the frontier F_{i-1} in ascending vertex order.  A
     component's representative is its first frontier vertex, so equal
     tuples mean equal partitions, and the tuple is its own merge key.
     Exact terminal counts, undecided edge-ends per component and the
@@ -68,12 +68,17 @@ class ReferenceFrontierSearch:
                 first_pos.setdefault(z, i)
                 last_pos[z] = i
         all_seen_at = max(first_pos.get(t, len(g.edges) + 1) for t in terms)
+        # F_i: the vertices with a decided and an undecided edge after step i
+        frontier: list[list[int]] = [[] for _ in range(len(g.edges) + 1)]
+        for z in sorted(first_pos):
+            for i in range(first_pos[z], last_pos[z]):
+                frontier[i].append(z)
         remaining = [len(a) for a in g.adjacency]
         self.steps: list[_Step | None] = [None]
         for i, idx in enumerate(order.permutation, 1):
             u, v, c = g.edges[idx]
             entering = [z for z in dict.fromkeys((u, v)) if first_pos[z] == i]
-            vertices = sorted(order.frontier_sets[i - 1]) + entering
+            vertices = frontier[i - 1] + entering
             at = {z: j for j, z in enumerate(vertices)}
             iu, iv = at[u], at[v]
             ends = dict.fromkeys((iu, iv))
@@ -94,7 +99,7 @@ class ReferenceFrontierSearch:
                     (j, z not in terms)
                     for j, z in enumerate(vertices) if j not in ends
                 ),
-                plan=tuple((f, at[f]) for f in sorted(order.frontier_sets[i])),
+                plan=tuple((f, at[f]) for f in frontier[i]),
                 all_seen=i >= all_seen_at,
             ))
             remaining[u] -= 1

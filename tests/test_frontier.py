@@ -210,8 +210,7 @@ class TestSinkRules:
             ((3, 4, 1), (4, 5, 1), (1, 2, 1), (1, 3, 1), (2, 5, 1)),
             frozenset({1, 2}),
         )
-        sets = [(), (3, 4), (3, 5), (1, 2, 3, 5), (2, 5), ()]
-        order = EdgeOrder((0, 1, 2, 3, 4), tuple(map(frozenset, sets)), 4)
+        order = EdgeOrder((0, 1, 2, 3, 4), 4)
         search = TripleSearch(g, order)
         path = walk_states(search, (1, 1))
         assert path == ((3, False, 1), (3, False, 1))
@@ -463,7 +462,6 @@ class TestStorage:
         a remap list and a list of live ids (tracemalloc, Python 3.11)."""
         g = grid_graph(6, 8, [1, 8, 41, 48])
         order = order_edges(g)
-        order.frontier_sets  # built before measuring
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -518,6 +516,31 @@ class TestCapacityAndValidation:
     def test_order_graph_mismatch(self, triangle, square):
         with pytest.raises(GraphError):
             construct_bdd(triangle, order_edges(square))
+
+    @pytest.mark.parametrize("perm", [(2, 2, 2), (0, 0, 1), (0, 1, 5)])
+    def test_order_must_be_a_permutation(self, triangle, perm):
+        # each once gave a wrong answer: {2} twice, no tree, IndexError
+        with pytest.raises(GraphError, match="not a permutation"):
+            construct_bdd(triangle, EdgeOrder(perm, 2))
+
+    def test_order_made_on_a_reindexed_copy(self, triangle):
+        """An order depends on the edge indices only: one made on a copy
+        with the same edges indexed otherwise builds the same diagram as
+        the reference step does on the original."""
+        rng = random.Random(3)
+        graphs = [triangle, grid_graph(3, 4, [1, 12])]
+        graphs += [random_connected_graph(rng) for _ in range(20)]
+        for g in graphs:
+            edges = list(g.edges)
+            rng.shuffle(edges)
+            h = Graph(g.vertex_count, tuple(edges), g.terminals)
+            order = order_edges(h)
+            bdd = construct_bdd(g, order)
+            assert bdd.dump() == reference_construct_bdd(g, order).dump()
+        h = Graph(3, triangle.edges[::-1], triangle.terminals)
+        assert decoded_subsets(construct_bdd(triangle, order_edges(h))) == {
+            frozenset({0, 1}), frozenset({2})
+        }
 
     def test_dump_format(self, triangle):
         bdd = construct_bdd(triangle, order_edges(triangle))

@@ -24,7 +24,7 @@ from steinerenum import (
     simplify,
     write_stp,
 )
-from steinerenum.graph import default_root, pseudo_peripheral
+from steinerenum.graph import default_root, frontiers, pseudo_peripheral
 from .conftest import (
     TRIANGLE_STP,
     grid_graph,
@@ -233,8 +233,9 @@ class TestOrderEdges:
     def test_permutation_and_empty_boundary_frontiers(self, triangle):
         order = order_edges(triangle)
         assert sorted(order.permutation) == [0, 1, 2]
-        assert order.frontier_sets[0] == frozenset()
-        assert order.frontier_sets[-1] == frozenset()
+        sets = [frozenset(live) for live in frontiers(triangle, order.permutation)]
+        assert len(sets) == 3
+        assert sets[-1] == frozenset()
 
     def test_default_start_is_min_degree_terminal(self):
         # terminal 4 has degree 1, terminal 1 degree 2
@@ -253,6 +254,10 @@ class TestOrderEdges:
     def test_start_out_of_range(self, triangle):
         with pytest.raises(GraphError):
             bfs_order(triangle, start=9)
+        # vertex 4 is in range, and the graph is connected, but 4 has no edge
+        g = Graph(4, ((1, 2, 1), (2, 3, 1)), frozenset({1, 3}))
+        with pytest.raises(GraphError, match="start vertex 4 has no edges"):
+            bfs_order(g, 4)
 
     def test_never_scores_worse_than_default_bfs(self):
         rng = random.Random(2718)
@@ -262,8 +267,8 @@ class TestOrderEdges:
             chosen, plain = order_edges(g), bfs_order(g)
             far = bfs_order(g, pseudo_peripheral(g, default_root(g)))
             assert chosen in (plain, far)
-            assert profile(chosen) <= profile(plain)
-            assert profile(chosen) <= profile(far)
+            assert profile(g, chosen) <= profile(g, plain)
+            assert profile(g, chosen) <= profile(g, far)
             picked_other += chosen != plain
         assert picked_other > 0
 
@@ -309,21 +314,23 @@ class TestOrderEdges:
             for z in (u, v):
                 first.setdefault(z, i)
                 last[z] = i
+        sets = [frozenset()] + [
+            frozenset(live) for live in frontiers(g, order.permutation)
+        ]
         for i in range(m + 1):
             expect = frozenset(
                 z for z in first if first[z] <= i < last[z]
             )
-            assert order.frontier_sets[i] == expect
-        assert order.frontier_width == max(
-            len(s) for s in order.frontier_sets
-        )
+            assert sets[i] == expect
+        assert order.frontier_width == max(len(s) for s in sets)
 
     def test_stable_across_calls(self, square):
         assert order_edges(square) == order_edges(square)
 
 
-def profile(order):
-    return order.frontier_width, sum(2 ** len(f) for f in order.frontier_sets)
+def profile(g, order):
+    sizes = [len(live) for live in frontiers(g, order.permutation)]
+    return order.frontier_width, sum(2**n for n in sizes)
 
 
 class TestSimplify:
