@@ -18,7 +18,10 @@ each sparse-seeded seed, the four commands in ``SPARSE_COMMANDS``:
 ``stats``, ``build`` at the benchmark's 1% perturbation, which dumps the
 whole diagram built on the seeded search graph, and the two ``seeds``
 commands, which write the seed trees themselves at the default 5%
-perturbation and at the benchmark's 1%.
+perturbation and at the benchmark's 1%.  Seven more run ``stats`` on
+copies of sparse-seeded seed 0 instance 0 with one fault each (see
+``malformed``), so error messages, their line numbers and the exit
+code are compared too: 127 commands in all.
 """
 
 from __future__ import annotations
@@ -53,6 +56,37 @@ SPARSE_COMMANDS = (
 )
 
 
+def malformed(text: str) -> dict[str, str]:
+    """One-fault copies of an STP text, by fault: an endpoint out of range
+    on the last E line, a negative weight, a zero denominator and a
+    five-token E line in the middle one, an Edges count one too high, a
+    terminal out of range and a terminal on an isolated new vertex."""
+    lines = text.splitlines()
+
+    def at(prefix: str) -> list[int]:
+        return [i for i, line in enumerate(lines) if line.startswith(prefix)]
+
+    edges, (nodes,), (count,), first_t = at("E "), at("Nodes "), at("Edges "), at("T ")[0]
+    n, mid = int(lines[nodes].split()[1]), edges[len(edges) // 2]
+
+    def put(i: int, pos: int, token: str) -> dict[int, str]:
+        tokens = lines[i].split()
+        tokens[pos:pos + 1] = [token]
+        return {i: " ".join(tokens)}
+
+    faults = {
+        "endpoint": put(edges[-1], 2, str(n + 1)),
+        "negative": put(mid, 3, "-2.5"),
+        "zero-den": put(mid, 3, "3/0"),
+        "five-token": put(mid, 4, "1"),
+        "edge-count": put(count, 1, str(len(edges) + 1)),
+        "terminal": put(first_t, 1, str(n + 1)),
+        "isolated": {**put(nodes, 1, str(n + 1)), **put(first_t, 1, str(n + 1))},
+    }
+    return {name: "\n".join(edit.get(i, line) for i, line in enumerate(lines)) + "\n"
+            for name, edit in faults.items()}
+
+
 def commands(work: Path) -> list[tuple[str, ...]]:
     """Write every instance under work and list the commands to compare."""
     out = []
@@ -68,6 +102,11 @@ def commands(work: Path) -> list[tuple[str, ...]]:
                 elif i == 0:
                     out.extend((cmd, "--input", str(stp), *flags)
                                for cmd, *flags in SPARSE_COMMANDS)
+                    if seed == 0:
+                        for name, text in malformed(stp.read_text()).items():
+                            bad = work / f"{w.name}-{seed}-{i}-{name}.stp"
+                            bad.write_text(text, encoding="utf-8")
+                            out.append(("stats", "--input", str(bad)))
     return out
 
 

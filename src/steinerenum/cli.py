@@ -423,18 +423,19 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # The pipeline builds acyclic data, which reference counting frees,
-    # so cyclic collection finds next to nothing: on a sparse-seeded
-    # benchmark instance (seed 0, instance 0) main made 488 collections,
-    # about 0.05 s, that freed 151 objects, all left over from imports;
-    # the grid runs free the same.  At a generation-0 threshold of 10,000
-    # main makes 32.  Tests call main in process, so the previous
-    # thresholds come back on return.
-    thresholds = gc.get_threshold()
-    gc.set_threshold(10_000, *thresholds[1:])
+    # so cyclic collection finds next to nothing: even at a generation-0
+    # threshold of 10,000, main made 29 generation-0 and 3 generation-1
+    # passes, about 0.03 s, on a sparse-seeded benchmark instance (seed
+    # 0, instance 0), and they freed only import-time objects.  So the
+    # collector is off for the run.  Tests call main in process, so the
+    # caller's setting comes back on return.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _main(argv)
     finally:
-        gc.set_threshold(*thresholds)
+        if enabled:
+            gc.enable()
 
 
 def _main(argv) -> int:

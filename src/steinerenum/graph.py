@@ -57,25 +57,26 @@ class Graph:
     )
 
     def __post_init__(self):
-        if self.vertex_count < 1:
+        n = self.vertex_count
+        if n < 1:
             raise GraphError("vertex_count must be positive")
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
+        adj: list[list[int]] = [[] for _ in range(n + 1)]
         for idx, (u, v, w) in enumerate(self.edges):
-            for z in (u, v):
-                if not 1 <= z <= self.vertex_count:
-                    raise GraphError(f"edge {idx}: endpoint {z} out of range")
-            if w < 0:
+            if not (1 <= u <= n and 1 <= v <= n and w >= 0):
+                for z in (u, v):
+                    if not 1 <= z <= n:
+                        raise GraphError(f"edge {idx}: endpoint {z} out of range")
                 raise GraphError(f"edge {idx}: negative weight {w}")
             # a self-loop appears twice in its endpoint's list on purpose:
             # incidence counts treat loops as two edge-ends
             adj[u].append(idx)
             adj[v].append(idx)
         for t in self.terminals:
-            if not 1 <= t <= self.vertex_count:
+            if not 1 <= t <= n:
                 raise GraphError(f"terminal {t} out of range")
         if self.cost_scale < 1:
             raise GraphError("cost_scale must be >= 1")
-        object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
 
         # Terminals and edge endpoints must share one component; other
         # vertices may stay isolated (simplification contracts vertices
@@ -133,6 +134,8 @@ class SteinerTree:
 
 
 _MAGIC = "33D32945"
+# (section, keyword) of the count declarations
+_DECLARATIONS = {("graph", "nodes"), ("graph", "edges"), ("terminals", "terminals")}
 
 
 def parse_stp(text: str) -> Graph:
@@ -144,14 +147,16 @@ def parse_stp(text: str) -> Graph:
     other sections (skipped), and a closing ``EOF``.  Keywords are
     case-insensitive.  Decimal weights are scaled to integers by the
     least common denominator; the factor lands in ``Graph.cost_scale``.
-    Each distinct weight token is read as a ``Fraction`` once.
+    Each distinct weight token is read as a ``Fraction`` and scaled
+    once.  Endpoints are range-checked per column once ``Nodes`` is
+    known; only a failure looks up the line of the first bad edge.
     """
     lines = text.splitlines()
-    n_vertices: int | None = None
-    n_edges_decl: int | None = None
-    n_terms_decl: int | None = None
-    raw_edges: list[tuple[int, int, int, int, int]] = []  # u, v, num, den, line
-    weights: dict[str, tuple[int, int]] = {}  # token -> reduced (num, den)
+    declared: dict[str, int] = {}  # "nodes", "edges", "terminals" -> count
+    us: list[int] = []  # the edges by column: endpoints, weight tokens
+    vs: list[int] = []
+    wtoks: list[str] = []
+    weights: dict[str, Fraction] = {}
     terminals: list[int] = []
     section: str | None = None
     saw_graph = False
@@ -160,107 +165,106 @@ def parse_stp(text: str) -> Graph:
         raise ParseError(msg, ln)
 
     for ln, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        if line.startswith(_MAGIC):
-            continue
-        tokens = line.split()
-        head = tokens[0].lower()
-
-        if section is None:
-            if head == "section":
-                if len(tokens) < 2:
-                    bad("SECTION needs a name", ln)
-                section = tokens[1].lower()
-                if section == "graph":
-                    saw_graph = True
-            elif head == "eof":
-                break
-            else:
-                bad(f"unexpected token {tokens[0]!r} outside any section", ln)
-            continue
-
-        if head == "end":
-            section = None
-            continue
-
-        if section == "graph":
-            if head == "nodes":
+        head = tokens[0]
+        if head != "E" or section != "graph":  # edge lines skip all this
+            if head.startswith(_MAGIC):
+                continue
+            head = head.lower()
+            if section is None:
+                if head == "section":
+                    if len(tokens) < 2:
+                        bad("SECTION needs a name", ln)
+                    section = tokens[1].lower()
+                    saw_graph = saw_graph or section == "graph"
+                elif head == "eof":
+                    break
+                else:
+                    bad(f"unexpected token {tokens[0]!r} outside any section", ln)
+                continue
+            if head == "end":
+                section = None
+                continue
+            if (section, head) in _DECLARATIONS:
                 try:
-                    n_vertices = int(tokens[1])
+                    declared[head] = int(tokens[1])
                 except (IndexError, ValueError):
-                    bad("Nodes needs an integer count", ln)
-            elif head == "edges":
-                try:
-                    n_edges_decl = int(tokens[1])
-                except (IndexError, ValueError):
-                    bad("Edges needs an integer count", ln)
-            elif head == "e":
-                if len(tokens) != 4:
-                    bad("E line needs: E <u> <v> <weight>", ln)
-                w = weights.get(tokens[3])
-                try:
-                    u, v = int(tokens[1]), int(tokens[2])
-                    if w is None:
-                        f = Fraction(tokens[3])
-                except ValueError:
-                    bad("E line has a non-numeric field", ln)
-                except ZeroDivisionError:
-                    bad(f"weight {tokens[3]} has a zero denominator", ln)
-                if w is None:
-                    if f < 0:
-                        bad(f"negative weight {tokens[3]}", ln)
-                    w = weights[tokens[3]] = (f.numerator, f.denominator)
-                raw_edges.append((u, v, w[0], w[1], ln))
-            else:
-                bad(f"unknown keyword {tokens[0]!r} in Graph section", ln)
-        elif section == "terminals":
-            if head == "terminals":
-                try:
-                    n_terms_decl = int(tokens[1])
-                except (IndexError, ValueError):
-                    bad("Terminals needs an integer count", ln)
-            elif head == "t":
+                    bad(f"{head.capitalize()} needs an integer count", ln)
+                continue
+            if section == "terminals" and head == "t":
                 try:
                     terminals.append(int(tokens[1]))
                 except (IndexError, ValueError):
                     bad("T line needs a vertex id", ln)
-            else:
-                # tolerate auxiliary keywords some instances carry
-                # (RootP and friends) without interpreting them
                 continue
-        # other sections: skipped until END
+            if section != "graph" or head != "e":
+                if section == "graph":
+                    bad(f"unknown keyword {tokens[0]!r} in Graph section", ln)
+                # other sections, and keywords some instances carry in
+                # Terminals (RootP and friends), are skipped
+                continue
+        if len(tokens) != 4:
+            bad("E line needs: E <u> <v> <weight>", ln)
+        _, u, v, tok = tokens
+        fresh = tok not in weights
+        try:
+            us.append(int(u))
+            vs.append(int(v))
+            if fresh:
+                f = Fraction(tok)
+        except ValueError:
+            bad("E line has a non-numeric field", ln)
+        except ZeroDivisionError:
+            bad(f"weight {tok} has a zero denominator", ln)
+        if fresh:
+            if f < 0:
+                bad(f"negative weight {tok}", ln)
+            weights[tok] = f
+        wtoks.append(tok)
 
     if not saw_graph:
         raise ParseError("no Graph section found")
-    if n_vertices is None:
+    n = declared.get("nodes")
+    if n is None:
         raise ParseError("Graph section lacks a Nodes declaration")
-    if n_edges_decl is not None and n_edges_decl != len(raw_edges):
-        raise ParseError(
-            f"Edges declares {n_edges_decl} but {len(raw_edges)} E lines found"
-        )
-    if n_terms_decl is not None and n_terms_decl != len(terminals):
-        raise ParseError(
-            f"Terminals declares {n_terms_decl} but {len(terminals)} T lines found"
-        )
-
-    scale = math.lcm(1, *(den for _, den in weights.values()))
-    edges = []
-    for u, v, num, den, ln in raw_edges:
-        if not (1 <= u <= n_vertices and 1 <= v <= n_vertices):
-            bad(f"edge endpoint out of range 1..{n_vertices}", ln)
-        edges.append((u, v, num * scale // den))
+    for key, found, what in (("edges", us, "E"), ("terminals", terminals, "T")):
+        if declared.get(key, len(found)) != len(found):
+            raise ParseError(f"{key.capitalize()} declares {declared[key]} "
+                             f"but {len(found)} {what} lines found")
+    if us and not (1 <= min(us) and max(us) <= n and 1 <= min(vs) and max(vs) <= n):
+        first = next(j for j, (u, v) in enumerate(zip(us, vs))
+                     if not (1 <= u <= n and 1 <= v <= n))
+        bad(f"edge endpoint out of range 1..{n}", _edge_line(lines, first))
     for t in terminals:
-        if not 1 <= t <= n_vertices:
-            raise ParseError(f"terminal {t} out of range 1..{n_vertices}")
+        if not 1 <= t <= n:
+            raise ParseError(f"terminal {t} out of range 1..{n}")
 
+    scale = math.lcm(1, *(f.denominator for f in weights.values()))
+    scaled = {tok: f.numerator * scale // f.denominator for tok, f in weights.items()}
     return Graph(
-        vertex_count=n_vertices,
-        edges=tuple(edges),
+        vertex_count=n,
+        edges=tuple(zip(us, vs, map(scaled.__getitem__, wtoks))),
         terminals=frozenset(terminals),
         cost_scale=scale,
     )
+
+
+def _edge_line(lines: list[str], j: int) -> int:
+    """Line number of edge j (0-based) in lines that parse up to it."""
+    section = None
+    for ln, raw in enumerate(lines, 1):
+        tokens = raw.split()
+        head = tokens[0].lower() if tokens else ""
+        if section is None:
+            section = tokens[1].lower() if head == "section" else None
+        elif head == "end":
+            section = None
+        elif section == "graph" and head == "e":
+            j -= 1
+            if j < 0:
+                return ln
 
 
 def _weight_text(val: Fraction) -> str:

@@ -25,7 +25,7 @@ from .graph import (
     simplify,
 )
 from .seeds import SeedConfig, select_seeds, tosp_tree, union_subgraph
-from .traverse import enumerate_trees, reduce_bdd
+from .traverse import enumerate_trees, reduce_bdd, validate_tree
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,8 @@ class RunConfig:
     exact mode is both off.  The run writes the ``k`` cheapest trees
     within theta, or all of them when fewer exist.  ``seed_trees``
     optionally injects externally supplied trees (original edge indices)
-    instead of running the heuristic.
+    instead of running the heuristic; each must be a minimal Steiner
+    tree of the input graph.
     """
 
     k: int = 1000
@@ -119,10 +120,25 @@ class Diagram:
 
     nodes: int  # as constructed
     reduced: Bdd
-    graph: Graph  # preprocessed
+    graph: Graph  # preprocessed; a seed union is renumbered by _compact
     smap: SimplificationMap  # preprocessed-graph edge -> input edges
     theta: int | None
     timing_ms: dict[str, float]
+
+
+def _compact(g: Graph) -> Graph:
+    """g on its terminals and edge endpoints, renumbered 1..n in
+    ascending id.  The renumbering is monotone, so every order and tie
+    that compares vertex ids comes out the same, and edge indices do not
+    change."""
+    used = sorted({z for u, v, _ in g.edges for z in (u, v)}.union(g.terminals))
+    new = {v: i for i, v in enumerate(used, 1)}
+    return Graph(
+        vertex_count=len(used),
+        edges=tuple((new[u], new[v], w) for u, v, w in g.edges),
+        terminals=frozenset(new[t] for t in g.terminals),
+        cost_scale=g.cost_scale,
+    )
 
 
 def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
@@ -131,9 +147,14 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
         raise GraphError("enumeration needs at least two terminals")
 
     if cfg.seed_trees is not None:
-        seed_trees = tuple(
-            SteinerTree(fs, g.tree_cost(fs)) for fs in cfg.seed_trees
-        )
+        for i, fs in enumerate(cfg.seed_trees):  # checked before costing
+            try:
+                valid = validate_tree(SteinerTree(fs, 0), g)
+            except GraphError as exc:  # an edge index out of range
+                raise GraphError(f"seed tree {i}: {exc}") from None
+            if not valid:
+                raise GraphError(f"seed tree {i}: not a minimal Steiner tree")
+        seed_trees = tuple(SteinerTree(fs, g.tree_cost(fs)) for fs in cfg.seed_trees)
         work, edge_map = union_subgraph(g, frozenset().union(*cfg.seed_trees))
     elif cfg.use_seeds:
         selection = select_seeds(g, cfg.seeds, cfg.seed_root)
@@ -142,6 +163,8 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
         )
     else:
         seed_trees, work, edge_map = (), g, tuple(range(len(g.edges)))
+    if seed_trees:
+        work = _compact(work)
     theta = resolve_theta(cfg, g, min((t.cost for t in seed_trees), default=None))
 
     if cfg.use_simplify:

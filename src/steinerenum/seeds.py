@@ -60,84 +60,89 @@ class UnreachableTerminal(GraphError):
     """A terminal cannot be reached from the seed root."""
 
 
-def _pass_through(g: Graph) -> bytearray:
-    """Flag the vertices a seed search walks through without stopping.
+def _stop_arcs(g: Graph):
+    """The seed searches' graph: stops joined by chains, each walked once.
 
     A vertex is pass-through when it is not a terminal and has exactly
     two edges, both of positive weight.  Every other vertex is a stop.
     The two edges are distinct and neither is a self-loop on any vertex
     a search reaches: a loop fills both places in its vertex's
     adjacency, and that vertex, having no other edge, is cut off from
-    the terminals.
+    the terminals.  A chain runs from a stop through pass-through
+    vertices to the next stop; an edge between two stops is a chain.
+
+    Returns ``(through, arcs, chain_of)``: the pass-through flags;
+    ``arcs[u]``, for a stop u, lists each chain leaving u as ``(stop
+    reached, summed cost, vertex before it, edge into it, chain id)``;
+    and ``chain_of[e]``, the id of edge e's chain.
     """
-    edges, terminals = g.edges, g.terminals
-    through = bytearray(g.vertex_count + 1)
-    for v, adj in enumerate(g.adjacency):
+    edges, adjacency, terminals = g.edges, g.adjacency, g.terminals
+    through = bytearray(len(adjacency))
+    for v, adj in enumerate(adjacency):
         if len(adj) == 2 and v not in terminals:
             if edges[adj[0]][2] > 0 and edges[adj[1]][2] > 0:
                 through[v] = 1
-    return through
+    arcs: list[list | None] = [None if t else [] for t in through]
+    chain_of = [-1] * len(edges)
+    for u, adj in enumerate(adjacency):
+        if through[u]:
+            continue
+        for first in adj:
+            if chain_of[first] >= 0:  # walked from its other end
+                continue
+            chain_of[first] = first
+            a, b, cost = edges[first]
+            w = near = b if a == u else a
+            v, idx = u, first
+            while through[w]:
+                v = w
+                e1, e2 = adjacency[v]
+                idx = e2 if e1 == idx else e1
+                chain_of[idx] = first
+                a, b, c = edges[idx]
+                w = b if a == v else a
+                cost += c
+            arcs[u].append((w, cost, v, idx, first))
+            arcs[w].append((u, cost, near, first, first))
+    return through, arcs, chain_of
 
 
-def _dijkstra(g: Graph, root: int, banned: frozenset[int], through: bytearray):
-    """Single-source shortest paths ignoring banned edges.
+def _dijkstra(arcs: list, root: int, cut):
+    """Single-source shortest paths over the stop arcs of ``_stop_arcs``,
+    skipping the chains in cut.
 
     Tie-breaking is fixed: equal-distance relaxations prefer the
     lexicographically smallest (predecessor vertex, edge index), and the
     heap pops equal distances by vertex id, so the predecessor structure
     is reproducible bit for bit.
 
-    Only stop vertices enter the heap.  An arc into a pass-through vertex
-    (``through``, see ``_pass_through``) walks the chain to its first
-    stop and relaxes that with the chain's summed cost under the key
-    (last chain vertex, last edge); a banned edge makes the chain
-    unusable.  The chain's last vertex is then marked done, so each chain
-    is walked from one end only.  Chain vertices get no distance or
-    predecessor of their own.  The stops' results equal a search that
-    visits every vertex: with positive weights, a chain vertex on a
-    shortest path to the far stop has exactly one tight neighbour, the
-    one before it, so the far stop sees the same candidates and ties.  A
-    zero-weight edge can give a vertex two tight neighbours, so its ends
-    stay stops.
+    Only stops enter the heap.  An arc relaxes the stop it reaches with
+    the chain's summed cost under the key (vertex before that stop, edge
+    into it), so chain vertices get no distance or predecessor of their
+    own, and a banned edge cuts its whole chain.  The stops' results
+    equal a search that visits every vertex: with positive weights, a
+    chain vertex on a shortest path to the far stop has exactly one
+    tight neighbour, the one before it, so the far stop sees the same
+    candidates and ties.  A zero-weight edge can give a vertex two tight
+    neighbours, so its ends stay stops.
     """
     inf = math.inf
-    edges, adjacency = g.edges, g.adjacency
     heappop, heappush = heapq.heappop, heapq.heappush
-    dist: list[float] = [inf] * (g.vertex_count + 1)
-    pred_edge: list[int] = [-1] * (g.vertex_count + 1)
-    pred_vertex: list[int] = [0] * (g.vertex_count + 1)
+    dist: list[float] = [inf] * len(arcs)
+    pred_edge: list[int] = [-1] * len(arcs)
+    pred_vertex: list[int] = [0] * len(arcs)
     dist[root] = 0
-    done = [False] * (g.vertex_count + 1)
-    done[0] = True  # no vertex 0: a walk that meets a banned edge ends there
+    done = bytearray(len(arcs))
     heap: list[tuple[float, int]] = [(0, root)]
     while heap:
         d, u = heappop(heap)
         if done[u]:
             continue
-        done[u] = True
-        for idx in adjacency[u]:
-            if idx in banned:
-                continue
-            a, b, cost = edges[idx]
-            w = b if a == u else a
-            if done[w]:
+        done[u] = 1
+        for w, cost, v, idx, chain in arcs[u]:
+            if done[w] or chain in cut:
                 continue
             nd = d + cost
-            v = u
-            if through[w]:
-                while through[w]:
-                    v = w
-                    e1, e2 = adjacency[v]
-                    idx = e2 if e1 == idx else e1
-                    if idx in banned:
-                        w = 0
-                        break
-                    a, b, cost = edges[idx]
-                    w = b if a == v else a
-                    nd += cost
-                done[v] = True
-                if done[w]:
-                    continue
             if nd < dist[w]:
                 dist[w] = nd
                 pred_vertex[w] = v
@@ -153,7 +158,7 @@ def tosp_tree(
     g: Graph,
     root: int | None = None,
     banned: frozenset[int] = frozenset(),
-    through: bytearray | None = None,
+    stops=None,
 ) -> SteinerTree:
     """Tree-of-shortest-paths heuristic.
 
@@ -162,18 +167,18 @@ def tosp_tree(
     leaves are the root or path ends, all of them terminals, so the
     result is already a minimal Steiner tree.
 
-    The search skips chains of pass-through vertices (see ``_dijkstra``);
-    a path is walked back through such a vertex by its other edge.
-    ``through`` is ``_pass_through(g)``, passed in by callers that search
-    one graph many times; without it each call builds its own.
+    The search runs over chains of pass-through vertices (see
+    ``_dijkstra``); a path is walked back through such a vertex by its
+    other edge.  ``stops`` is ``_stop_arcs(g)``, passed in by callers
+    that search one graph many times; without it each call builds its
+    own.
     """
     if root is None:
         root = default_root(g)
     elif root not in g.terminals:
         raise GraphError(f"seed root {root} is not a terminal")
-    if through is None:
-        through = _pass_through(g)
-    dist, pred_edge, _ = _dijkstra(g, root, banned, through)
+    through, arcs, chain_of = stops or _stop_arcs(g)
+    dist, pred_edge, _ = _dijkstra(arcs, root, {chain_of[e] for e in banned})
     adjacency = g.adjacency
     chosen: set[int] = set()
     for t in sorted(g.terminals):
@@ -213,8 +218,8 @@ def select_seeds(
     the root is drawn again; the shortest-path search that finds this is
     the one the tree is built from.
     """
-    through = _pass_through(g)
-    trees: list[SteinerTree] = [tosp_tree(g, root, through=through)]
+    stops = _stop_arcs(g)
+    trees: list[SteinerTree] = [tosp_tree(g, root, stops=stops)]
     m = len(g.edges)
     delete_count = math.ceil(cfg.perturb_fraction * m)
     for seed_index in range(1, cfg.num_seeds):
@@ -224,11 +229,12 @@ def select_seeds(
         for _ in range(cfg.max_retries):
             banned = frozenset(rng.sample(range(m), min(delete_count, m)))
             try:
-                trees.append(tosp_tree(g, root, banned, through))
+                trees.append(tosp_tree(g, root, banned, stops))
             except UnreachableTerminal:
                 continue
             break
         # retries exhausted: this seed is skipped; callers see fewer trees
+    del stops  # free the arcs before the union graph is built
 
     distinct: list[SteinerTree] = []
     seen: set[frozenset[int]] = set()

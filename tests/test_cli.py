@@ -318,26 +318,33 @@ class TestExitCodes:
         assert "needs at least two terminals" in proc.stderr
         assert out.read_text() == report.read_text() == "kept\n"
 
-    def test_gc_thresholds_restored(self, tri_path, tmp_path, monkeypatch, capsys):
-        # main raises the generation-0 threshold for its run only; tests
-        # and other callers in the process keep theirs
+    def test_gc_off_inside_and_restored(self, tri_path, tmp_path, monkeypatch):
+        # main turns the cyclic collector off for its run only; tests and
+        # other callers in the process keep their setting
         seen = []
 
         def stats(args, g, cfg):
-            seen.append(gc.get_threshold())
+            seen.append(gc.isenabled())
             return 0
 
         monkeypatch.setattr(cli, "_cmd_stats", stats)
-        before = gc.get_threshold()
+        missing = str(tmp_path / "missing.stp")
+        was_enabled = gc.isenabled()
         try:
-            gc.set_threshold(123, 4, 5)
+            gc.enable()
             assert cli.main(["stats", "--input", tri_path]) == 0
-            assert gc.get_threshold() == (123, 4, 5)
-            assert seen[0][0] > 123
-            assert cli.main(["stats", "--input", str(tmp_path / "missing.stp")]) == 3
-            assert gc.get_threshold() == (123, 4, 5)
+            assert seen == [False]
+            assert gc.isenabled()
+            assert cli.main(["stats", "--input", missing]) == 3
+            assert gc.isenabled()
+            gc.disable()
+            assert cli.main(["stats", "--input", tri_path]) == 0
+            assert seen == [False, False]
+            assert not gc.isenabled()
+            assert cli.main(["stats", "--input", missing]) == 3
+            assert not gc.isenabled()
         finally:
-            gc.set_threshold(*before)
+            (gc.enable if was_enabled else gc.disable)()
 
     def test_failed_run_leaves_output_empty(self, tri_path, tmp_path):
         out = tmp_path / "diagram.txt"

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from steinerenum import (
     write_stp,
 )
 from steinerenum.graph import default_root, frontiers, pseudo_peripheral
+from .stp_reference import reference_parse_stp
 from .conftest import (
     TRIANGLE_STP,
     grid_graph,
@@ -99,6 +101,20 @@ class TestGraph:
     def test_isolated_vertex_tolerated(self):
         g = Graph(3, ((1, 2, 1),), frozenset({1, 2}))
         assert g.degree(3) == 0
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((1, 2, 1), (1, 5, -1), (9, 2, -2)), "edge 1: endpoint 5 out of range"),
+            (((1, 2, 1), (2, 3, -1), (0, 2, 1)), "edge 1: negative weight -1"),
+            (((7, 2, -1),), "edge 0: endpoint 7 out of range"),
+            (((1, 0, -1),), "edge 0: endpoint 0 out of range"),
+            (((4, 0, 1),), "edge 0: endpoint 4 out of range"),
+        ],
+    )
+    def test_names_first_bad_edge_endpoint_before_weight(self, edges, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            Graph(3, edges, frozenset({1, 2}))
 
 
 class TestParse:
@@ -227,6 +243,203 @@ class TestParse:
         with pytest.raises(ParseError, match=message) as exc:
             parse_stp(text)
         assert exc.value.line == 5
+
+
+@dataclass
+class StpDoc:
+    """A random valid STP text, held in parts for editing: ``parts`` in
+    file order (the magic line, the sections, the EOF line), with the
+    Graph and Terminals sections also at hand, and the declared vertex
+    count ``n``."""
+
+    parts: list[list[str]]
+    graph: list[str]
+    terminals: list[str]
+    n: int
+
+    def e_lines(self) -> list[int]:
+        return [i for i, t in enumerate(self.graph) if t.split()[0] in ("E", "e")]
+
+    def nodes_line(self) -> int | None:
+        return next((i for i, t in enumerate(self.graph)
+                     if t.split()[0].lower() == "nodes"), None)
+
+    def render(self, rng: random.Random) -> str:
+        """The text, with blank or whitespace-only lines strewn in."""
+        lines = []
+        for part in self.parts:
+            for text in part:
+                if rng.random() < 0.1:
+                    lines.append(rng.choice(("", "   ", "\t")))
+                lines.append(text)
+        return "\n".join(lines) + rng.choice(("\n", "", "\r\n"))
+
+
+def random_stp(rng: random.Random) -> StpDoc:
+    """Keywords come in mixed case, lines carry stray blanks, and the
+    magic line, Comment and Coordinates sections, a RootP line and text
+    after EOF may appear.  Weight tokens repeat, in several spellings of
+    one value, and Nodes may follow the E lines.  The graph is a path
+    with extra edges, so it is connected; a vertex may stay isolated,
+    but never a terminal."""
+    n = rng.randint(2, 7)
+    pairs = [(v, rng.randint(1, v - 1)) for v in range(2, n + 1)]
+    pairs += [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 4))]
+    rng.shuffle(pairs)
+    tokens = ("1", "2.50", "2.5", ".5", "1/3", "2/6", "1e1", "0", "07", "0.125")
+
+    def case(word):
+        return rng.choice((word, word.lower(), word.upper()))
+
+    def line(*words):
+        pad = rng.choice(("", "", " ", "\t"))
+        return pad + rng.choice((" ", " ", "  ", "\t")).join(words) + pad
+
+    declared = n + rng.choice((0, 0, 1))
+    decls = [line(case("Nodes"), str(declared))]
+    if rng.random() < 0.8:
+        decls.append(line(case("Edges"), str(len(pairs))))
+    edges = [line(case("E"), str(u), str(v), rng.choice(tokens)) for u, v in pairs]
+    body = edges + decls if rng.random() < 0.2 else decls + edges
+    graph = [line(case("SECTION"), case("Graph")), *body, line(case("END"))]
+    terms = rng.sample(range(1, n + 1), rng.randint(0, min(4, n)))
+    terminals = [line(case("SECTION"), case("Terminals"))]
+    if rng.random() < 0.7:
+        terminals.append(line(case("Terminals"), str(len(terms))))
+    terminals += [line(case("T"), str(t)) for t in terms]
+    if rng.random() < 0.3:
+        terminals.insert(rng.randint(1, len(terminals)), line("RootP", "1"))
+    terminals.append(line(case("END")))
+    parts = [graph, terminals]
+    if rng.random() < 0.4:
+        parts.append([line(case("SECTION"), "Comment"), 'Name "x"', case("END")])
+    if rng.random() < 0.3:
+        parts.append([line(case("SECTION"), "Coordinates"), "DD 1 10 20", "END"])
+    rng.shuffle(parts)
+    if rng.random() < 0.5:
+        parts.insert(0, ["33D32945 STP File, STP Format Version 1.0"])
+    parts.append([case("EOF")] + (["anything after EOF"] if rng.random() < 0.2 else []))
+    return StpDoc(parts, graph, terminals, declared)
+
+
+def _retoken(text: str, pos: int, token: str | None) -> str:
+    """text with token pos replaced, or dropped when token is None."""
+    words = text.split()
+    words[pos:pos + 1] = [] if token is None else [token]
+    return " ".join(words)
+
+
+# faults of one E line: name -> edit of the line, given the vertex count
+EDGE_FAULTS = {
+    "u above range": lambda text, n: _retoken(text, 1, str(n + 1)),
+    "u zero": lambda text, n: _retoken(text, 1, "0"),
+    "v above range": lambda text, n: _retoken(text, 2, str(n + 1)),
+    "v negative": lambda text, n: _retoken(text, 2, "-1"),
+    "u non-numeric": lambda text, n: _retoken(text, 1, "1.5"),
+    "v non-numeric": lambda text, n: _retoken(text, 2, "x"),
+    "weight non-numeric": lambda text, n: _retoken(text, 3, "1..2"),
+    "zero denominator": lambda text, n: _retoken(text, 3, "3/0"),
+    "negative weight": lambda text, n: _retoken(text, 3, "-2.5"),
+    "three tokens": lambda text, n: _retoken(text, 3, None),
+    "five tokens": lambda text, n: text + " 1",
+}
+
+
+def _into(section: list[str], rng: random.Random, text: str):
+    """Insert text between a section's SECTION and END lines."""
+    section.insert(rng.randint(1, len(section) - 1), text)
+
+
+def _set_nodes(doc: StpDoc, text: str | None):
+    """Replace the Nodes line with text, or drop it when text is None."""
+    i = doc.nodes_line()
+    if i is not None:
+        doc.graph[i:i + 1] = [] if text is None else [text]
+
+
+# other faults: name -> in-place edit of the document
+OTHER_FAULTS = {
+    "unknown keyword": lambda doc, rng: _into(doc.graph, rng, "Arc 1 2 3"),
+    "stray token": lambda doc, rng: doc.parts.insert(
+        rng.randrange(len(doc.parts)), ["Nodes 3"]),
+    "nameless section": lambda doc, rng: doc.parts.insert(
+        rng.randrange(len(doc.parts)), ["SECTION"]),
+    "bad Nodes": lambda doc, rng: _set_nodes(doc, "Nodes x"),
+    "bad Edges": lambda doc, rng: _into(doc.graph, rng, "Edges"),
+    "bad Terminals": lambda doc, rng: _into(doc.terminals, rng, "Terminals 1.5"),
+    "bad T": lambda doc, rng: _into(doc.terminals, rng, "T one"),
+    # the last declaration counts, so these go just before END
+    "edge count": lambda doc, rng: doc.graph.insert(-1, "Edges 99"),
+    "terminal count": lambda doc, rng: doc.terminals.insert(-1, "Terminals 99"),
+    "no Nodes": lambda doc, rng: _set_nodes(doc, None),
+    "no Graph": lambda doc, rng: doc.graph.__setitem__(0, "SECTION Other"),
+    "terminal out of range": lambda doc, rng: _into(doc.terminals, rng, f"T {doc.n + 3}"),
+    "isolated terminal": lambda doc, rng: (
+        _set_nodes(doc, f"Nodes {doc.n + 1}"), _into(doc.terminals, rng, f"T {doc.n + 1}")),
+}
+
+
+def parse_outcome(parser, text: str):
+    """What parser makes of text: the graph, or the error's type, message
+    and line."""
+    try:
+        return parser(text)
+    except GraphError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+class TestParseMatchesReference:
+    """``parse_stp`` against the frozen parser in ``stp_reference``: the
+    same graph, or the same error with the same message and line."""
+
+    def test_valid_texts(self):
+        rng = random.Random(61)
+        for _ in range(600):
+            text = random_stp(rng).render(rng)
+            got = parse_outcome(parse_stp, text)
+            assert isinstance(got, Graph), (text, got)
+            assert got == reference_parse_stp(text), text
+
+    @pytest.mark.parametrize("name", EDGE_FAULTS)
+    def test_edge_line_fault_at_first_middle_last(self, name):
+        rng = random.Random(name)
+        for _ in range(40):
+            doc = random_stp(rng)
+            e_lines = doc.e_lines()
+            for at in (e_lines[0], e_lines[len(e_lines) // 2], e_lines[-1]):
+                kept = doc.graph[at]
+                doc.graph[at] = EDGE_FAULTS[name](kept, doc.n)
+                text = doc.render(rng)
+                doc.graph[at] = kept
+                want = parse_outcome(reference_parse_stp, text)
+                assert want[0] is ParseError and want[2] is not None, text
+                assert parse_outcome(parse_stp, text) == want, text
+
+    @pytest.mark.parametrize("name", OTHER_FAULTS)
+    def test_other_fault(self, name):
+        rng = random.Random(name)
+        for _ in range(40):
+            doc = random_stp(rng)
+            OTHER_FAULTS[name](doc, rng)
+            text = doc.render(rng)
+            want = parse_outcome(reference_parse_stp, text)
+            assert not isinstance(want, Graph), text
+            assert parse_outcome(parse_stp, text) == want, text
+
+    def test_two_faults_in_one_text(self):
+        rng = random.Random(67)
+        for _ in range(600):
+            doc = random_stp(rng)
+            for _ in range(2):
+                if rng.random() < 0.5:
+                    at = rng.choice(doc.e_lines())
+                    fault = EDGE_FAULTS[rng.choice(list(EDGE_FAULTS))]
+                    doc.graph[at] = fault(doc.graph[at], doc.n)
+                else:
+                    OTHER_FAULTS[rng.choice(list(OTHER_FAULTS))](doc, rng)
+            text = doc.render(rng)
+            want = parse_outcome(reference_parse_stp, text)
+            assert parse_outcome(parse_stp, text) == want, text
 
 
 class TestOrderEdges:

@@ -8,6 +8,7 @@ import pytest
 
 from steinerenum import GraphError, RunConfig, SeedConfig, parse_stp, resolve_theta, run
 from steinerenum import tosp_tree
+from steinerenum.pipeline import build_diagram
 
 from .conftest import add_parallel_edge_and_loop, random_connected_graph, subdivide_edge
 
@@ -60,6 +61,28 @@ class TestResolveTheta:
         for g in graphs:
             want = math.floor(2 * tosp_tree(g).cost)
             assert resolve_theta(RunConfig(theta_ratio=Fraction(2)), g, None) == want
+
+
+class TestInjectedSeedTrees:
+    @pytest.mark.parametrize(
+        "tree, problem",
+        [
+            ({-1}, "edge index -1 out of range"),
+            ({5}, "edge index 5 out of range"),
+            ({0}, "not a minimal Steiner tree"),  # does not span 1 and 3
+            ({0, 1, 2}, "not a minimal Steiner tree"),  # a cycle
+        ],
+    )
+    def test_bad_tree_is_named(self, triangle, tree, problem):
+        cfg = RunConfig(seed_trees=(frozenset({2}), frozenset(tree)))
+        with pytest.raises(GraphError, match=f"^seed tree 1: {problem}$"):
+            build_diagram(triangle, cfg)
+
+    def test_valid_trees_set_the_bound(self, triangle):
+        cfg = RunConfig(seed_trees=(frozenset({2}), frozenset({0, 1})))
+        res = run(triangle, cfg)
+        assert res.theta == 2  # 1.2 times the cheaper tree, floored
+        assert [t.edges for t in res.trees] == [frozenset({0, 1})]
 
 
 class TestTreeOrder:

@@ -20,6 +20,7 @@ from steinerenum import (
 from steinerenum.seeds import (
     SeedSelection,
     UnreachableTerminal,
+    _stop_arcs,
     default_root,
 )
 from .conftest import random_connected_graph
@@ -351,6 +352,43 @@ class TestSelectSeeds:
                 else:
                     exhausted += 1
         assert retried > 0 and exhausted > 0
+
+    def test_chain_rich_matches_reference_with_retries(self):
+        """All searches of one selection share the stop arcs walked
+        once: perturbed searches whose bans cut chains, retries
+        included, select what the flat reference selects."""
+        rng = random.Random(53)
+        cut_later = retried = 0
+        for n in range(400):
+            g = chain_rich_graph(rng)
+            cfg = SeedConfig(
+                num_seeds=4,
+                perturb_fraction=rng.choice((0.1, 0.2, 0.3)),
+                rng_seed=n,
+                max_retries=rng.choice((2, 5)),
+            )
+            root = rng.choice([None, *sorted(g.terminals)])
+            got = select_seeds(g, cfg, root)
+            want = reference_select_seeds(g, cfg, root)
+            assert got.seed_trees == want.seed_trees, (g, cfg, root)
+            assert got.edge_map == want.edge_map
+            assert got.requested == want.requested
+            # replay the second and later seeds' samples, retries
+            # included, counting bans that cut a chain through a
+            # pass-through vertex
+            _, _, chain_of = _stop_arcs(g)
+            long_chains = {c for c in chain_of if chain_of.count(c) > 1}
+            m = len(g.edges)
+            for seed_index in range(2, cfg.num_seeds):
+                sampler = random.Random(f"{cfg.rng_seed}:{seed_index}")
+                for attempt in range(cfg.max_retries):
+                    banned = set(sampler.sample(range(m), math.ceil(
+                        cfg.perturb_fraction * m)))
+                    cut_later += any(chain_of[e] in long_chains for e in banned)
+                    if reference_terminals_connected(g, banned):
+                        retried += attempt > 0
+                        break
+        assert cut_later > 100 and retried > 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
