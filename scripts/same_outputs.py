@@ -11,17 +11,19 @@ command whose exit code, stdout or stderr differ is printed.  The exit
 status is 1 if any differ, else 0.
 
 The instances are the benchmark's (``perfbench/instances.py``, seeds
-0-4).  The 120 commands are ``enumerate`` with each workload's own flags
+0-4).  The 140 commands are ``enumerate`` with each workload's own flags
 on every instance of every workload; on the grid-topk and grid-build
-instances, the seven commands in ``GRID_COMMANDS``; and on instance 0 of
+instances, the nine commands in ``GRID_COMMANDS``; and on instance 0 of
 each sparse-seeded seed, the four commands in ``SPARSE_COMMANDS``:
 ``stats``, ``build`` at the benchmark's 1% perturbation, which dumps the
 whole diagram built on the seeded search graph, and the two ``seeds``
 commands, which write the seed trees themselves at the default 5%
-perturbation and at the benchmark's 1%.  Seven more run ``stats`` on
-copies of sparse-seeded seed 0 instance 0 with one fault each (see
-``malformed``), so error messages, their line numbers and the exit
-code are compared too: 127 commands in all.
+perturbation and at the benchmark's 1%.  Two of the grid commands write
+a run report and an expansion map to ``/dev/null``: the CLI loads json
+only on such paths, which are then compared by exit code and stderr.
+Seven more run ``stats`` on copies of sparse-seeded seed 0 instance 0
+with one fault each (see ``malformed``), so error messages, their line
+numbers and the exit code are compared too: 147 commands in all.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ GRID_COMMANDS = (
     ("count", "--no-simplify"),
     ("enumerate", "--no-seeds", "--k", "50"),
     ("enumerate", "--k", "50", "--perturb", "0.3"),
+    ("enumerate", "--no-seeds", "--k", "50", "--report", "/dev/null"),
+    ("simplify", "--map", "/dev/null"),
     ("stats",),
 )
 SPARSE_COMMANDS = (

@@ -37,14 +37,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import gc
-import json
 import math
 import os
 import sys
 from fractions import Fraction
-from typing import TextIO
+from io import TextIOBase
 
 from .frontier import DEFAULT_NODE_CAP, NodeCapExceeded
 from .graph import Graph, GraphError, SteinerTree, order_edges, parse_stp, simplify, write_stp
@@ -61,15 +59,18 @@ EXIT_TRUNCATED = 6
 
 
 def _tree_line(tree: SteinerTree, g: Graph) -> str:
-    pairs = [[g.edges[i][0], g.edges[i][1]] for i in tree.sorted_edges()]
-    return json.dumps({"cost": tree.cost, "edges": pairs}, separators=(", ", ": "))
+    """The tree as one JSON object, ``{"cost": c, "edges": [[u, v], ...]}``
+    with edges ascending by index, written out without the json module."""
+    edges = g.edges
+    pairs = ", ".join([f"[{edges[i][0]}, {edges[i][1]}]" for i in tree.sorted_edges()])
+    return f'{{"cost": {tree.cost}, "edges": [{pairs}]}}'
 
 
-def _emit_trees(trees, g: Graph, out: TextIO):
+def _emit_trees(trees, g: Graph, out: TextIOBase):
     out.write("".join(_tree_line(t, g) + "\n" for t in trees))
 
 
-def _write_report(out: TextIO, res: RunResult):
+def _write_report(out: TextIOBase, res: RunResult):
     report = {
         "graph": {
             "v": res.graph_vertices,
@@ -93,6 +94,7 @@ def _write_report(out: TextIO, res: RunResult):
             ),
         },
     }
+    import json  # loaded only where a command writes or reads it
     json.dump(report, out, indent=2)
     out.write("\n")
 
@@ -174,8 +176,7 @@ def _run_config(args, g: Graph) -> RunConfig:
     theta = None if args.theta is None else _parse_theta(args.theta)
     ratio = None if args.theta_ratio is None else _fraction("--theta-ratio", args.theta_ratio)
     seed_trees = _load_seed_file(args.seeds_from_file, g) if args.seeds_from_file else None
-    return dataclasses.replace(
-        _seed_config(args, g),
+    return _seed_config(args, g)._replace(
         k=getattr(args, "k", 1000),  # build writes no trees
         theta=theta,
         theta_ratio=ratio,
@@ -211,6 +212,7 @@ def _load_seed_file(path: str, g: Graph) -> tuple[frozenset[int], ...]:
     {"edge_indices": [...]}.  Every tree must be a minimal Steiner tree
     of ``g``; a malformed record raises GraphError naming its line.
     """
+    import json
     lookup: dict[tuple[int, int], int] = {}
     for idx, (u, v, _) in enumerate(g.edges):
         key = (min(u, v), max(u, v))
@@ -281,6 +283,7 @@ def _cmd_stats(args, g: Graph, _) -> int:
         "max_weight": max((w for _, _, w in g.edges), default=None),
         "frontier_width": order.frontier_width if order else None,
     }
+    import json
     json.dump(info, args.output, indent=2)
     args.output.write("\n")
     return EXIT_OK
@@ -290,6 +293,7 @@ def _cmd_simplify(args, g: Graph, _) -> int:
     simplified, smap = simplify(g)
     args.output.write(write_stp(simplified))
     if args.map:
+        import json
         json.dump(
             {
                 "replacements": [list(c) for c in smap.replacements],

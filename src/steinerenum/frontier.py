@@ -17,10 +17,9 @@ incoming paths; the exact filter happens during traversal.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
-from .graph import Graph, GraphError, EdgeOrder, frontiers
+from .graph import Graph, GraphError, EdgeOrder, Record, frontiers
 
 ZERO = 0  # sink ids double as arc-target encoding and dump tokens
 ONE = 1
@@ -45,8 +44,7 @@ class NodeCapExceeded(ConstructionError):
         self.layer_sizes = layer_sizes
 
 
-@dataclass(frozen=True)
-class Bdd:
+class Bdd(Record):
     """Layered diagram over an edge order.
 
     Node ids 0 and 1 are the sinks; real nodes start at 2.  Ids are
@@ -87,25 +85,24 @@ class Bdd:
         return "\n".join(out) + "\n"
 
 
-class _Step(NamedTuple):
-    """Static data for deciding the i-th ordered edge (u, v).
-
-    A state entering step i covers the frontier F_{i-1} that the steps
-    before it leave; with ``fresh`` appended it becomes the working
-    sequence that every index below points into.  Only u and v can leave
-    at step i, and a component is sealed here when no kept entry carries
-    its representative: none of its vertices touches an undecided edge.
-    """
-
-    cost: int
-    fresh: tuple[int, ...]  # entries of the endpoints entering here
-    iu: int
-    iv: int
-    keep: tuple[int, ...]  # index of each vertex of F_i
-    kept: tuple[int, ...]  # those vertices, ascending
-    nonterminal: tuple[bool, ...]  # per kept vertex
-    dropped: tuple[tuple[int, int, bool], ...]  # (index, vertex, non-terminal)
-    all_seen: bool  # every terminal has entered the frontier
+# Static data for deciding the i-th ordered edge (u, v).
+#
+# A state entering step i covers the frontier F_{i-1} that the steps
+# before it leave; with ``fresh`` appended it becomes the working
+# sequence that every index below points into.  Only u and v can leave
+# at step i, and a component is sealed here when no kept entry carries
+# its representative: none of its vertices touches an undecided edge.
+_Step = namedtuple("_Step", (
+    "cost",
+    "fresh",  # entries of the endpoints entering here
+    "iu",  # indices of u and v
+    "iv",
+    "keep",  # index of each vertex of F_i
+    "kept",  # those vertices, ascending
+    "nonterminal",  # per kept vertex
+    "dropped",  # (index, vertex, non-terminal) per leaving vertex
+    "all_seen",  # every terminal has entered the frontier
+))
 
 
 class FrontierSearch:

@@ -8,9 +8,9 @@ the map needed to expand trees back onto the original edge set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from collections import deque
+from itertools import chain
 import math
 
 
@@ -33,15 +33,78 @@ class ParseError(GraphError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """Base of the package's frozen records, without generated code.
+
+    A record lists its fields once, as class annotations in constructor
+    order; a class attribute of a field's name is its default, shared by
+    every instance, so a default must be immutable.  The constructor
+    takes the fields by position or name, then runs ``__post_init__``.
+    Setting or deleting a field raises AttributeError; equality, hash and
+    repr go over the fields in order.  ``_replace`` copies a record with
+    some fields changed, through the constructor and its checks.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes at most {len(cls._fields)} fields")
+        for name, value in zip(cls._fields, args):
+            object.__setattr__(self, name, value)
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                object.__setattr__(self, name, kwargs.pop(name))
+            elif name in cls.__dict__:
+                object.__setattr__(self, name, cls.__dict__[name])
+            else:
+                raise TypeError(f"{cls.__name__} needs field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got unknown or repeated {sorted(kwargs)}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _frozen(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class Graph(Record):
     """Connected, undirected, integer-weighted multigraph with terminals.
 
     Vertices are 1-based ids in ``1..vertex_count``.  Edges keep their
     input order; that order is the canonical edge indexing used by every
     downstream structure (trees, orderings, simplification maps).
     Parallel edges are legal and stay distinct.  Self-loops are legal on
-    input; simplification removes them.
+    input; simplification removes them.  ``adjacency[v]`` lists the
+    edges at v, a self-loop twice; it follows from the fields and takes
+    no part in equality, hash or repr.
 
     ``cost_scale`` records the fixed-point factor applied when decimal
     weights were scaled to integers (1 for integer inputs).  All cost
@@ -52,9 +115,6 @@ class Graph:
     edges: tuple[tuple[int, int, int], ...]
     terminals: frozenset[int]
     cost_scale: int = 1
-    adjacency: tuple[tuple[int, ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         n = self.vertex_count
@@ -114,16 +174,21 @@ class Graph:
         return sum(self.edges[i][2] for i in edge_indices)
 
 
-@dataclass(frozen=True)
-class SteinerTree:
+class SteinerTree(Record):
     """An edge subset forming a minimal Steiner tree, with its exact cost.
 
     Edge indices refer to whichever graph the tree was produced on;
-    expansion maps translate between graphs.
+    expansion maps translate between graphs.  A run builds one per tree
+    written, so the constructor is written out and the fields are slots.
     """
 
+    __slots__ = ("edges", "cost")
     edges: frozenset[int]
     cost: int
+
+    def __init__(self, edges: frozenset[int], cost: int):
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "cost", cost)
 
     def sorted_edges(self) -> tuple[int, ...]:
         return tuple(sorted(self.edges))
@@ -302,8 +367,7 @@ def write_stp(g: Graph) -> str:
 # Edge ordering
 
 
-@dataclass(frozen=True)
-class EdgeOrder:
+class EdgeOrder(Record):
     """A processing order for the layered search.
 
     ``permutation[i-1]`` is the original edge index processed at step i,
@@ -450,8 +514,7 @@ def frontiers(g: Graph, perm):
 # Lossless simplification
 
 
-@dataclass(frozen=True)
-class SimplificationMap:
+class SimplificationMap(Record):
     """Expansion data for trees found on a simplified graph.
 
     ``replacements[j]`` is the ordered list of original edge indices that
@@ -554,10 +617,18 @@ def _chain(links: list[int], start: int) -> list[int]:
 
 
 def expand_tree(tree: SteinerTree, smap: SimplificationMap) -> SteinerTree:
-    """Translate a tree on the simplified graph back to original edges."""
-    out: set[int] = set()
-    for idx in tree.edges:
-        if not 0 <= idx < len(smap.replacements):
-            raise GraphError(f"edge index {idx} not covered by the map")
-        out.update(smap.replacements[idx])
-    return SteinerTree(frozenset(out), tree.cost)
+    """Translate a tree on the simplified graph back to original edges.
+
+    The tree maps in one pass of C-level calls.  A negative index would
+    read from the end of the map, so ``min`` rules those out first; an
+    index past the end stops the pass.  Either way the error names the
+    first bad index in iteration order."""
+    edges, reps = tree.edges, smap.replacements
+    try:
+        if edges and min(edges) < 0:
+            raise IndexError
+        out = frozenset(chain.from_iterable(map(reps.__getitem__, edges)))
+    except IndexError:
+        bad = next(i for i in edges if not 0 <= i < len(reps))
+        raise GraphError(f"edge index {bad} not covered by the map") from None
+    return SteinerTree(out, tree.cost)

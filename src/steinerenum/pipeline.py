@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .frontier import DEFAULT_NODE_CAP, Bdd, construct_bdd
 from .graph import (
     Graph,
     GraphError,
+    Record,
     SimplificationMap,
     SteinerTree,
     expand_tree,
@@ -28,8 +28,7 @@ from .seeds import SeedConfig, select_seeds, tosp_tree, union_subgraph
 from .traverse import enumerate_trees, reduce_bdd, validate_tree
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Full parameterization of one enumeration run.
 
     Exactly one of ``theta`` (absolute, unscaled input units) and
@@ -41,14 +40,14 @@ class RunConfig:
     exact mode is both off.  The run writes the ``k`` cheapest trees
     within theta, or all of them when fewer exist.  ``seed_trees``
     optionally injects externally supplied trees (original edge indices)
-    instead of running the heuristic; each must be a minimal Steiner
-    tree of the input graph.
+    instead of running the heuristic: at least one, each a minimal
+    Steiner tree of the input graph.
     """
 
     k: int = 1000
     theta: Fraction | float | None = None  # math.inf disables the bound
     theta_ratio: Fraction | None = None
-    seeds: SeedConfig = field(default_factory=SeedConfig)
+    seeds: SeedConfig = SeedConfig()
     seed_root: int | None = None
     use_seeds: bool = True
     use_simplify: bool = True
@@ -66,10 +65,11 @@ class RunConfig:
             raise GraphError("theta must be non-negative")
         if self.theta_ratio is not None and self.theta_ratio < 0:
             raise GraphError("theta_ratio must be non-negative")
+        if self.seed_trees is not None and not self.seed_trees:
+            raise GraphError("seed_trees holds no tree")
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     trees: tuple[SteinerTree, ...]  # original edge indices, ascending cost
     theta: int | None  # scaled units actually applied (None: unbounded)
     graph_vertices: int
@@ -111,8 +111,7 @@ def resolve_theta(
     return math.floor(ratio * reference_cost)
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
     """Everything a run has before traversal: the reduced diagram and the
     constructed diagram's node count, the graph it was built on, the map
     from that graph's edges back to input edge indices and the applied

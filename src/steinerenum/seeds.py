@@ -12,13 +12,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
 
-from .graph import Graph, GraphError, SteinerTree, default_root
+from .graph import Graph, GraphError, Record, SteinerTree, default_root
 
 
-@dataclass(frozen=True)
-class SeedConfig:
+class SeedConfig(Record):
     """Knobs for seed selection.
 
     num_seeds counts trees including the unperturbed one.  Each
@@ -40,8 +38,7 @@ class SeedConfig:
             raise ValueError("perturb_fraction must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class SeedSelection:
+class SeedSelection(Record):
     """Chosen seed trees plus the union subgraph they induce.
 
     ``graph`` keeps the parent's vertex numbering; ``edge_map[j]`` is the

@@ -13,12 +13,11 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import mul
 
 from .frontier import Bdd, ZERO, ONE
-from .graph import Graph, GraphError, SteinerTree
+from .graph import Graph, GraphError, Record, SteinerTree
 
 
 class TraversalError(RuntimeError):
@@ -95,8 +94,7 @@ def count_trees(bdd: Bdd) -> int:
     return ways[bdd.root]
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(Record):
     """Output of the top-k traversal plus its instrumentation.
 
     ``trees`` holds the first ``min(k, T)`` of the T trees within theta

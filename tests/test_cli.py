@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from steinerenum import bfs_order, cli, parse_stp, pipeline, simplify, write_stp
+from steinerenum import SteinerTree, bfs_order, cli, parse_stp, pipeline, simplify, write_stp
 from steinerenum.oracle import brute_force_minimal_steiner
 from .conftest import (
     TRIANGLE_STP,
@@ -663,3 +663,36 @@ def test_readme_quick_start(tmp_path, capsys):
     args = [str(tmp_path / a) if a == "tri.stp" else a for a in command.split()]
     assert cli.main(args) == 0
     assert capsys.readouterr().out == shown
+
+
+def test_tree_lines_match_json():
+    """Tree lines are written without the json module, byte for byte as
+    ``json.dumps`` with ``(", ", ": ")`` separators wrote them."""
+    rng = random.Random(19)
+    cases = 0
+    for case in range(240):
+        g = random_connected_graph(rng, max_vertices=12, max_edges=20)
+        if case % 4 == 0:  # ids past one digit
+            g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+        for size in (1, rng.randint(0, len(g.edges))):
+            edges = frozenset(rng.sample(range(len(g.edges)), size))
+            cost = rng.choice([0, rng.randrange(100), 2**64 + rng.randrange(10**6)])
+            tree = SteinerTree(edges, cost)
+            pairs = [[g.edges[i][0], g.edges[i][1]] for i in sorted(edges)]
+            want = json.dumps({"cost": cost, "edges": pairs}, separators=(", ", ": "))
+            assert cli._tree_line(tree, g) == want, (case, edges, cost)
+            cases += 1
+    assert cases == 480
+
+
+def test_cli_import_leaves_out_slow_modules():
+    """A structural guard on start-up cost: importing the CLI loads no
+    dataclass code generation and no json.  ``-S`` keeps site-installed
+    path hooks from loading any of them first."""
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys, steinerenum.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'json'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -117,6 +117,56 @@ class TestGraph:
             Graph(3, edges, frozenset({1, 2}))
 
 
+class TestRecords:
+    """The frozen record base that Graph, SteinerTree and the rest share."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Graph(2, ((1, 2, 1),), frozenset({1, 2})),
+        lambda: SteinerTree(frozenset({0}), 1),  # a slotted record
+        lambda: SeedConfig(),
+    ], ids=["graph", "tree", "seed_config"])
+    def test_fields_cannot_change(self, make):
+        rec = make()
+        name = rec._fields[0]
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        assert rec == make() and hash(rec) == hash(make())
+
+    def test_graph_compares_without_adjacency(self, triangle):
+        other = Graph(3, triangle.edges, triangle.terminals)
+        object.__setattr__(other, "adjacency", ())
+        assert other == triangle and hash(other) == hash(triangle)
+        assert "adjacency" not in repr(triangle)
+        assert repr(triangle) == (
+            "Graph(vertex_count=3, edges=((1, 2, 1), (2, 3, 1), (1, 3, 3)), "
+            "terminals=frozenset({1, 3}), cost_scale=1)"
+        )
+        assert triangle != Graph(3, triangle.edges, triangle.terminals, 2)
+        assert triangle != SteinerTree(frozenset(), 0)
+
+    def test_fields_by_position_or_name(self, triangle):
+        assert Graph(vertex_count=3, edges=triangle.edges, terminals=triangle.terminals,
+                     cost_scale=1) == triangle
+        assert Graph(3, triangle.edges, terminals=triangle.terminals) == triangle
+        with pytest.raises(TypeError, match="needs field 'terminals'"):
+            Graph(3, triangle.edges)
+        with pytest.raises(TypeError, match="unknown or repeated"):
+            Graph(3, triangle.edges, triangle.terminals, vertex_count=3)
+        with pytest.raises(TypeError, match="unknown or repeated"):
+            Graph(3, triangle.edges, triangle.terminals, scale=1)
+        with pytest.raises(TypeError, match="at most 4"):
+            Graph(3, triangle.edges, triangle.terminals, 1, ())
+
+    def test_replace_runs_the_checks(self, triangle):
+        assert triangle._replace(cost_scale=5).cost_scale == 5
+        with pytest.raises(GraphError, match="endpoint 3 out of range"):
+            triangle._replace(vertex_count=2)
+
+
 class TestParse:
     def test_triangle(self):
         g = parse_stp(TRIANGLE_STP)
@@ -625,6 +675,22 @@ class TestSimplify:
         _, smap = simplify(g)
         with pytest.raises(GraphError):
             expand_tree(SteinerTree(frozenset({5}), 1), smap)
+
+    @pytest.mark.parametrize(
+        "edges", [{-1}, {2}, {0, -1}, {1, 2}, {-1, 2, 0}, {-3, 7}],
+        ids=["minus_one", "len", "minus_one_with_good", "len_with_good",
+             "both_ends", "two_bad"],
+    )
+    def test_expand_tree_names_first_bad_index(self, edges):
+        # a negative index would read from the end of the map; the error
+        # names the first bad index in the tree's iteration order
+        g = Graph(4, ((1, 2, 1), (2, 3, 2), (3, 4, 1), (4, 1, 9)), frozenset({1, 3}))
+        _, smap = simplify(g)  # two paths from 1 to 3
+        assert len(smap.replacements) == 2
+        tree = SteinerTree(frozenset(edges), 1)
+        first = next(i for i in tree.edges if not 0 <= i < 2)
+        with pytest.raises(GraphError, match=f"^edge index {first} not covered by the map$"):
+            expand_tree(tree, smap)
 
 
 def fixpoint_simplify(g: Graph) -> tuple[Graph, SimplificationMap]:

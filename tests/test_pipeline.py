@@ -54,6 +54,14 @@ class TestResolveTheta:
             RunConfig(**bound)
 
 
+    def test_replace_checks_the_bound(self):
+        cfg = RunConfig()._replace(theta=Fraction(1))
+        assert cfg.theta == 1 and cfg.seeds == RunConfig().seeds
+        with pytest.raises(GraphError, match="theta must be non-negative"):
+            RunConfig()._replace(theta=Fraction(-1))
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            cfg._replace(theta_ratio=Fraction(2))
+
     def test_ratio_without_reference_uses_shortest_path_tree(self):
         rng = random.Random(3)
         graphs = [parse_stp(DECIMAL_PATH_STP)]
@@ -78,11 +86,23 @@ class TestInjectedSeedTrees:
         with pytest.raises(GraphError, match=f"^seed tree 1: {problem}$"):
             build_diagram(triangle, cfg)
 
+    def test_no_tree_is_a_config_error(self, triangle):
+        # named before any graph is read, not as a disconnected union
+        with pytest.raises(GraphError, match="^seed_trees holds no tree$"):
+            build_diagram(triangle, RunConfig(seed_trees=()))
+
     def test_valid_trees_set_the_bound(self, triangle):
         cfg = RunConfig(seed_trees=(frozenset({2}), frozenset({0, 1})))
         res = run(triangle, cfg)
         assert res.theta == 2  # 1.2 times the cheaper tree, floored
         assert [t.edges for t in res.trees] == [frozenset({0, 1})]
+
+
+def test_configs_share_equal_seed_defaults():
+    a, b = RunConfig(), RunConfig()
+    assert a.seeds == b.seeds == SeedConfig()
+    assert a == b and hash(a) == hash(b)
+    assert RunConfig(seeds=SeedConfig(rng_seed=1)) != a
 
 
 class TestTreeOrder:
