@@ -11,19 +11,22 @@ command whose exit code, stdout or stderr differ is printed.  The exit
 status is 1 if any differ, else 0.
 
 The instances are the benchmark's (``perfbench/instances.py``, seeds
-0-4).  The 140 commands are ``enumerate`` with each workload's own flags
+0-4).  The 150 commands are ``enumerate`` with each workload's own flags
 on every instance of every workload; on the grid-topk and grid-build
 instances, the nine commands in ``GRID_COMMANDS``; and on instance 0 of
-each sparse-seeded seed, the four commands in ``SPARSE_COMMANDS``:
-``stats``, ``build`` at the benchmark's 1% perturbation, which dumps the
-whole diagram built on the seeded search graph, and the two ``seeds``
-commands, which write the seed trees themselves at the default 5%
-perturbation and at the benchmark's 1%.  Two of the grid commands write
-a run report and an expansion map to ``/dev/null``: the CLI loads json
-only on such paths, which are then compared by exit code and stderr.
+each sparse-seeded seed, the six in ``SPARSE_COMMANDS`` and
+``SEED_FILE_COMMANDS``.  Those six are ``stats``; ``build`` at the
+benchmark's 1% perturbation, which dumps the whole diagram built on the
+seeded search graph; the two ``seeds`` commands, which write the seed
+trees themselves at the default 5% perturbation and at the benchmark's
+1%; and ``enumerate --k 20`` and ``build`` with ``--seeds-from-file``
+naming the trees that this checkout's ``seeds --perturb 0.01`` wrote for
+that instance.  Two of the grid commands write a run report and an
+expansion map to ``/dev/null``: the CLI loads json only on such paths,
+which are then compared by exit code and stderr.
 Seven more run ``stats`` on copies of sparse-seeded seed 0 instance 0
 with one fault each (see ``malformed``), so error messages, their line
-numbers and the exit code are compared too: 147 commands in all.
+numbers and the exit code are compared too: 157 commands in all.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ SPARSE_COMMANDS = (
     ("build", "--perturb", "0.01"),
     ("seeds",),
     ("seeds", "--perturb", "0.01"),
+)
+# run with the seed trees of this checkout's ``seeds --perturb 0.01``
+SEED_FILE_COMMANDS = (
+    ("enumerate", "--k", "20"),
+    ("build",),
 )
 
 
@@ -106,6 +114,14 @@ def commands(work: Path) -> list[tuple[str, ...]]:
                 elif i == 0:
                     out.extend((cmd, "--input", str(stp), *flags)
                                for cmd, *flags in SPARSE_COMMANDS)
+                    seeds = work / f"{w.name}-{seed}-{i}-seeds.jsonl"
+                    code, text, err = outcome(
+                        ROOT / "src", ("seeds", "--input", str(stp), "--perturb", "0.01"))
+                    if code:
+                        raise RuntimeError(f"seeds on {stp} exited {code}: {err}")
+                    seeds.write_text(text, encoding="utf-8")
+                    out.extend((cmd, "--input", str(stp), "--seeds-from-file", str(seeds),
+                                *flags) for cmd, *flags in SEED_FILE_COMMANDS)
                     if seed == 0:
                         for name, text in malformed(stp.read_text()).items():
                             bad = work / f"{w.name}-{seed}-{i}-{name}.stp"

@@ -315,7 +315,7 @@ def _cmd_seeds(args, g: Graph, cfg: RunConfig) -> int:
     _emit_trees(selection.seed_trees, g, args.output)
     print(
         f"seeds: {len(selection.seed_trees)} distinct tree(s) of "
-        f"{selection.requested} requested; union has "
+        f"{cfg.seeds.num_seeds} requested; union has "
         f"{len(selection.edge_map)} edges",
         file=sys.stderr,
     )

@@ -57,13 +57,15 @@ class RunConfig(Record):
     def __post_init__(self):
         if self.theta is not None and self.theta_ratio is not None:
             raise ValueError("theta and theta_ratio are mutually exclusive")
+        if not isinstance(self.k, int):
+            raise ValueError("k must be an integer")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.node_cap < 1:
             raise ValueError("node_cap must be at least 1")
-        if self.theta is not None and self.theta < 0:
+        if self.theta is not None and not self.theta >= 0:
             raise GraphError("theta must be non-negative")
-        if self.theta_ratio is not None and self.theta_ratio < 0:
+        if self.theta_ratio is not None and not self.theta_ratio >= 0:
             raise GraphError("theta_ratio must be non-negative")
         if self.seed_trees is not None and not self.seed_trees:
             raise GraphError("seed_trees holds no tree")
@@ -119,25 +121,10 @@ class Diagram(Record):
 
     nodes: int  # as constructed
     reduced: Bdd
-    graph: Graph  # preprocessed; a seed union is renumbered by _compact
+    graph: Graph  # preprocessed; a seed union is renumbered by union_subgraph
     smap: SimplificationMap  # preprocessed-graph edge -> input edges
     theta: int | None
     timing_ms: dict[str, float]
-
-
-def _compact(g: Graph) -> Graph:
-    """g on its terminals and edge endpoints, renumbered 1..n in
-    ascending id.  The renumbering is monotone, so every order and tie
-    that compares vertex ids comes out the same, and edge indices do not
-    change."""
-    used = sorted({z for u, v, _ in g.edges for z in (u, v)}.union(g.terminals))
-    new = {v: i for i, v in enumerate(used, 1)}
-    return Graph(
-        vertex_count=len(used),
-        edges=tuple((new[u], new[v], w) for u, v, w in g.edges),
-        terminals=frozenset(new[t] for t in g.terminals),
-        cost_scale=g.cost_scale,
-    )
 
 
 def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
@@ -154,16 +141,14 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
             if not valid:
                 raise GraphError(f"seed tree {i}: not a minimal Steiner tree")
         seed_trees = tuple(SteinerTree(fs, g.tree_cost(fs)) for fs in cfg.seed_trees)
-        work, edge_map = union_subgraph(g, frozenset().union(*cfg.seed_trees))
     elif cfg.use_seeds:
-        selection = select_seeds(g, cfg.seeds, cfg.seed_root)
-        seed_trees, work, edge_map = (
-            selection.seed_trees, selection.graph, selection.edge_map
-        )
+        seed_trees = select_seeds(g, cfg.seeds, cfg.seed_root).seed_trees
     else:
-        seed_trees, work, edge_map = (), g, tuple(range(len(g.edges)))
+        seed_trees = ()
     if seed_trees:
-        work = _compact(work)
+        work, edge_map = union_subgraph(g, set().union(*(t.edges for t in seed_trees)))
+    else:
+        work, edge_map = g, range(len(g.edges))
     theta = resolve_theta(cfg, g, min((t.cost for t in seed_trees), default=None))
 
     if cfg.use_simplify:
@@ -204,8 +189,12 @@ def run(g: Graph, cfg: RunConfig = RunConfig()) -> RunResult:
     result = enumerate_trees(d.reduced, k=cfg.k, theta=d.theta)
     timing = {**d.timing_ms, "traverse": (time.perf_counter() - t0) * 1000}
 
+    trees = result.trees
+    # one disjoint chain per input edge, listed by smallest index: the identity
+    if len(d.smap.replacements) != len(g.edges):
+        trees = tuple(expand_tree(t, d.smap) for t in trees)
     return RunResult(
-        trees=tuple(expand_tree(t, d.smap) for t in result.trees),
+        trees=trees,
         theta=d.theta,
         graph_vertices=g.vertex_count,
         graph_edges=len(g.edges),

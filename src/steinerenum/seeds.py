@@ -39,18 +39,15 @@ class SeedConfig(Record):
 
 
 class SeedSelection(Record):
-    """Chosen seed trees plus the union subgraph they induce.
+    """Chosen seed trees and the input edges they cover.
 
-    ``graph`` keeps the parent's vertex numbering; ``edge_map[j]`` is the
-    parent edge index behind subgraph edge j.  ``seed_trees`` use parent
-    edge indices and are deduplicated.  ``requested`` records how many
-    seeds were asked for (perturbation can fail to deliver them all).
+    ``seed_trees`` use input edge indices and are deduplicated;
+    ``edge_map`` lists their union's edges in ascending order, as
+    ``union_subgraph`` numbers the search graph's edges.
     """
 
-    graph: Graph
     edge_map: tuple[int, ...]
     seed_trees: tuple[SteinerTree, ...]
-    requested: int
 
 
 class UnreachableTerminal(GraphError):
@@ -194,12 +191,21 @@ def tosp_tree(
 
 
 def union_subgraph(g: Graph, edge_indices) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph of g with exactly the given edges, original vertex ids."""
+    """The search graph on the given edges of g, and its map back.
+
+    Its vertices are the edges' endpoints and g's terminals, renumbered
+    1..n in ascending id.  The renumbering is monotone, so every order
+    and tie that compares vertex ids comes out as on g.  Subgraph edge j
+    is input edge ``edge_map[j]``, listed in ascending order.
+    """
     edge_map = tuple(sorted(set(edge_indices)))
+    edges = [g.edges[i] for i in edge_map]
+    used = sorted({z for u, v, _ in edges for z in (u, v)}.union(g.terminals))
+    new = {v: i for i, v in enumerate(used, 1)}
     sub = Graph(
-        vertex_count=g.vertex_count,
-        edges=tuple(g.edges[i] for i in edge_map),
-        terminals=g.terminals,
+        vertex_count=len(used),
+        edges=tuple((new[u], new[v], w) for u, v, w in edges),
+        terminals=frozenset(new[t] for t in g.terminals),
         cost_scale=g.cost_scale,
     )
     return sub, edge_map
@@ -209,7 +215,7 @@ def select_seeds(
     g: Graph, cfg: SeedConfig = SeedConfig(), root: int | None = None
 ) -> SeedSelection:
     """Run the heuristic num_seeds times (first intact, rest perturbed)
-    and return the distinct trees plus the union subgraph they induce.
+    and return the distinct trees and the edges of their union.
 
     A perturbed attempt whose sample leaves a terminal unreachable from
     the root is drawn again; the shortest-path search that finds this is
@@ -231,7 +237,6 @@ def select_seeds(
                 continue
             break
         # retries exhausted: this seed is skipped; callers see fewer trees
-    del stops  # free the arcs before the union graph is built
 
     distinct: list[SteinerTree] = []
     seen: set[frozenset[int]] = set()
@@ -239,8 +244,5 @@ def select_seeds(
         if t.edges not in seen:
             seen.add(t.edges)
             distinct.append(t)
-    union: set[int] = set()
-    for t in distinct:
-        union |= t.edges
-    sub, edge_map = union_subgraph(g, union)
-    return SeedSelection(sub, edge_map, tuple(distinct), cfg.num_seeds)
+    union = tuple(sorted(set().union(*seen)))
+    return SeedSelection(union, tuple(distinct))

@@ -6,11 +6,28 @@ from fractions import Fraction
 
 import pytest
 
-from steinerenum import GraphError, RunConfig, SeedConfig, parse_stp, resolve_theta, run
-from steinerenum import tosp_tree
+from steinerenum import (
+    Graph,
+    GraphError,
+    RunConfig,
+    SeedConfig,
+    enumerate_trees,
+    expand_tree,
+    parse_stp,
+    pipeline,
+    resolve_theta,
+    run,
+    select_seeds,
+    tosp_tree,
+)
 from steinerenum.pipeline import build_diagram
 
-from .conftest import add_parallel_edge_and_loop, random_connected_graph, subdivide_edge
+from .conftest import (
+    add_parallel_edge_and_loop,
+    grid_graph,
+    random_connected_graph,
+    subdivide_edge,
+)
 
 # a two-edge path 1-2-3 with decimal weights; cost scale 100
 DECIMAL_PATH_STP = """\
@@ -45,14 +62,23 @@ class TestResolveTheta:
 
     @pytest.mark.parametrize(
         "bound",
-        [{"theta": Fraction(-1)}, {"theta_ratio": Fraction(-1)}],
-        ids=["theta", "theta_ratio"],
+        [
+            {"theta": Fraction(-1)},
+            {"theta_ratio": Fraction(-1)},
+            {"theta": float("nan")},
+            {"theta_ratio": float("nan")},
+        ],
+        ids=["theta", "theta_ratio", "theta-nan", "theta_ratio-nan"],
     )
     def test_negative_bound_is_a_config_error(self, bound):
         # caught before any graph is read, whatever the reference cost
-        with pytest.raises(GraphError, match="must be non-negative"):
+        (name,) = bound
+        with pytest.raises(GraphError, match=f"^{name} must be non-negative$"):
             RunConfig(**bound)
 
+    def test_non_integer_k_is_a_config_error(self):
+        with pytest.raises(ValueError, match="^k must be an integer$"):
+            RunConfig(k=2.5)
 
     def test_replace_checks_the_bound(self):
         cfg = RunConfig()._replace(theta=Fraction(1))
@@ -132,3 +158,60 @@ class TestTreeOrder:
             assert trees == sorted(trees), case
             ties += sum(a[0] == b[0] for a, b in zip(trees, trees[1:]))
         assert ties > 100
+
+
+class TestIdentityExpansion:
+    """run maps trees back only when the map is not the identity."""
+
+    # 3x3 grid, corner terminals: no degree-2 non-terminal
+    GRID = grid_graph(3, 3, [1, 3, 7, 9])
+
+    @staticmethod
+    def expanded(g, cfg):
+        d = build_diagram(g, cfg)
+        found = enumerate_trees(d.reduced, k=cfg.k, theta=d.theta).trees
+        return d, tuple(expand_tree(t, d.smap) for t in found)
+
+    @staticmethod
+    def count_expansions(monkeypatch) -> list:
+        calls = []
+
+        def counted(tree, smap):
+            calls.append(tree)
+            return expand_tree(tree, smap)
+
+        monkeypatch.setattr(pipeline, "expand_tree", counted)
+        return calls
+
+    @pytest.mark.parametrize("use_simplify", [False, True])
+    def test_identity_map_is_not_expanded(self, monkeypatch, use_simplify):
+        g = self.GRID
+        cfg = RunConfig(theta=math.inf, use_seeds=False, use_simplify=use_simplify)
+        d, want = self.expanded(g, cfg)
+        assert d.smap.replacements == tuple((i,) for i in range(len(g.edges)))
+        assert len(want) > 1
+
+        def fail(*_):
+            raise AssertionError("expand_tree called on the identity map")
+
+        monkeypatch.setattr(pipeline, "expand_tree", fail)
+        assert run(g, cfg).trees == want
+
+    def test_removed_loop_is_expanded(self, monkeypatch):
+        # the loop comes first, so every other edge index shifts by one
+        g = self.GRID
+        g = Graph(g.vertex_count, ((5, 5, 1),) + g.edges, g.terminals)
+        cfg = RunConfig(theta=math.inf, use_seeds=False)
+        _, want = self.expanded(g, cfg)
+        calls = self.count_expansions(monkeypatch)
+        assert run(g, cfg).trees == want
+        assert len(calls) == len(want) > 1
+
+    def test_strict_seed_union_is_expanded(self, monkeypatch):
+        g = self.GRID
+        cfg = RunConfig(k=20, use_simplify=False)
+        assert len(select_seeds(g, cfg.seeds).edge_map) < len(g.edges)
+        _, want = self.expanded(g, cfg)
+        calls = self.count_expansions(monkeypatch)
+        assert run(g, cfg).trees == want
+        assert len(calls) == len(want) > 0

@@ -154,8 +154,21 @@ def reference_select_seeds(
     union: set[int] = set()
     for t in distinct:
         union |= t.edges
-    sub, edge_map = union_subgraph(g, union)
-    return SeedSelection(sub, edge_map, tuple(distinct), cfg.num_seeds)
+    return SeedSelection(tuple(sorted(union)), tuple(distinct))
+
+
+def assert_compact_union(g: Graph, sub: Graph, edge_map) -> None:
+    """sub is g's edges edge_map on their endpoints and g's terminals,
+    renumbered 1..n by a monotone map."""
+    used = sorted({z for i in edge_map for z in g.edges[i][:2]} | g.terminals)
+    assert sub.vertex_count == len(used)
+    new = {v: i for i, v in enumerate(used, 1)}  # the only monotone bijection
+    assert len(sub.edges) == len(edge_map)
+    for (u, v, w), i in zip(sub.edges, edge_map):
+        a, b, c = g.edges[i]
+        assert (u, v, w) == (new[a], new[b], c)
+    assert sub.terminals == frozenset(new[t] for t in g.terminals)
+    assert sub.cost_scale == g.cost_scale
 
 
 def chain_rich_graph(rng: random.Random) -> Graph:
@@ -275,14 +288,14 @@ class TestSelectSeeds:
         sel = select_seeds(triangle, SeedConfig(num_seeds=1))
         assert len(sel.seed_trees) == 1
         assert sel.seed_trees[0].edges == frozenset({0, 1})
-        assert sel.requested == 1
+        assert sel.edge_map == (0, 1)
 
     def test_zero_perturbation_skips_reruns(self, triangle):
         sel = select_seeds(
             triangle, SeedConfig(num_seeds=5, perturb_fraction=0.0)
         )
         assert len(sel.seed_trees) == 1
-        assert sel.requested == 5
+        assert sel.edge_map == (0, 1)
 
     def test_seeds_are_valid_and_distinct(self):
         rng = random.Random(23)
@@ -304,10 +317,9 @@ class TestSelectSeeds:
             union |= t.edges
         assert set(sel.edge_map) == union
         assert list(sel.edge_map) == sorted(sel.edge_map)
-        for j, parent_idx in enumerate(sel.edge_map):
-            assert sel.graph.edges[j] == g.edges[parent_idx]
-        assert sel.graph.terminals == g.terminals
-        assert sel.graph.vertex_count == g.vertex_count
+        sub, edge_map = union_subgraph(g, union)
+        assert edge_map == sel.edge_map
+        assert_compact_union(g, sub, edge_map)
 
     def test_same_seed_reproduces(self):
         rng = random.Random(41)
@@ -337,8 +349,6 @@ class TestSelectSeeds:
             want = reference_select_seeds(g, cfg, root)
             assert got.seed_trees == want.seed_trees
             assert got.edge_map == want.edge_map
-            assert got.graph == want.graph
-            assert got.requested == want.requested
             # replay the samples to see which retry paths were taken
             m = len(g.edges)
             for seed_index in range(1, cfg.num_seeds):
@@ -372,7 +382,6 @@ class TestSelectSeeds:
             want = reference_select_seeds(g, cfg, root)
             assert got.seed_trees == want.seed_trees, (g, cfg, root)
             assert got.edge_map == want.edge_map
-            assert got.requested == want.requested
             # replay the second and later seeds' samples, retries
             # included, counting bans that cut a chain through a
             # pass-through vertex
@@ -407,5 +416,7 @@ class TestUnionSubgraph:
 
     def test_subset(self, triangle):
         sub, edge_map = union_subgraph(triangle, {2})
-        assert sub.edges == ((1, 3, 3),)
+        assert sub.edges == ((1, 2, 3),)
+        assert sub.terminals == frozenset({1, 2})
         assert edge_map == (2,)
+        assert_compact_union(triangle, sub, edge_map)
