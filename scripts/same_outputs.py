@@ -11,9 +11,9 @@ command whose exit code, stdout or stderr differ is printed.  The exit
 status is 1 if any differ, else 0.
 
 The instances are the benchmark's (``perfbench/instances.py``, seeds
-0-4).  The 150 commands are ``enumerate`` with each workload's own flags
+0-4).  The 170 commands are ``enumerate`` with each workload's own flags
 on every instance of every workload; on the grid-topk and grid-build
-instances, the nine commands in ``GRID_COMMANDS``; and on instance 0 of
+instances, the eleven commands in ``GRID_COMMANDS``; and on instance 0 of
 each sparse-seeded seed, the six in ``SPARSE_COMMANDS`` and
 ``SEED_FILE_COMMANDS``.  Those six are ``stats``; ``build`` at the
 benchmark's 1% perturbation, which dumps the whole diagram built on the
@@ -23,10 +23,12 @@ trees themselves at the default 5% perturbation and at the benchmark's
 naming the trees that this checkout's ``seeds --perturb 0.01`` wrote for
 that instance.  Two of the grid commands write a run report and an
 expansion map to ``/dev/null``: the CLI loads json only on such paths,
-which are then compared by exit code and stderr.
+which are then compared by exit code and stderr.  Two more stop at a
+node cap of 2000 and exit 5, so the cap's diagnostic, the level and the
+layer sizes so far, is compared against the other tree's.
 Seven more run ``stats`` on copies of sparse-seeded seed 0 instance 0
 with one fault each (see ``malformed``), so error messages, their line
-numbers and the exit code are compared too: 157 commands in all.
+numbers and the exit code are compared too: 177 commands in all.
 """
 
 from __future__ import annotations
@@ -47,11 +49,13 @@ GRID_WORKLOADS = ("grid-topk", "grid-build")
 GRID_COMMANDS = (
     ("build", "--exact", "--theta", "inf"),
     ("build", "--theta-ratio", "1.05"),
+    ("build", "--exact", "--theta", "inf", "--node-cap", "2000"),
     ("count",),
     ("count", "--no-simplify"),
     ("enumerate", "--no-seeds", "--k", "50"),
     ("enumerate", "--k", "50", "--perturb", "0.3"),
     ("enumerate", "--no-seeds", "--k", "50", "--report", "/dev/null"),
+    ("enumerate", "--no-seeds", "--k", "50", "--node-cap", "2000"),
     ("simplify", "--map", "/dev/null"),
     ("stats",),
 )

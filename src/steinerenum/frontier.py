@@ -6,9 +6,9 @@ vertices that still touch undecided edges): which frontier vertices
 share a component, whether each component holds a terminal, and each
 frontier vertex's degree.  Branches that can no longer complete a
 minimal Steiner tree of cost <= theta go to the 0-sink; branches whose
-chosen edges form exactly such a tree go to the 1-sink.  One call,
-``FrontierSearch.branches``, decides both branches of a node in a single
-pass over its state, as a TdZdd spec step does (Iwashita & Minato 2013).
+chosen edges form exactly such a tree go to the 1-sink.  The step of
+level i, ``FrontierSearch.step(i)``, is planned once and decides both
+branches of a node in one pass, as TdZdd does (Iwashita & Minato 2013).
 Nodes with equal states have indistinguishable futures and are merged,
 keeping the cheaper cost, so a node's cost is a lower bound over its
 incoming paths; the exact filter happens during traversal.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
+from operator import itemgetter
 
 from .graph import Graph, GraphError, EdgeOrder, Record, frontiers
 
@@ -118,8 +119,8 @@ class FrontierSearch:
     leaves room for the graph's largest degree, so equal entries are
     equal triples.  Exact terminal counts and the path cost are not
     stored: the first follows from the tuple and the level, and the cost
-    is the caller's concern.  ``branches`` decides one edge for one
-    state, both ways, in a single pass.  The steps follow from one walk
+    is the caller's concern.  ``step(i)`` decides edge i for a state,
+    both ways, in a single pass.  The steps follow from one walk
     of the frontier over ``g``; the order must permute its edge indices.
     """
 
@@ -160,8 +161,15 @@ class FrontierSearch:
             before = kept
 
     def branches(self, state: tuple, i: int, include: bool) -> tuple:
-        """Targets ``(lo, hi)`` of edge i from ``state``, each ZERO, ONE
-        or the successor state.
+        """``step(i)(state, include)``, for one state."""
+        return self.step(i)(state, include)
+
+    def step(self, i: int):
+        """Edge i's decision ``(state, include) -> (lo, hi)``, each target
+        ZERO, ONE or the successor state.  What is fixed per level is
+        planned once: the getter of the kept entries (none when they are
+        all the entries, in order), the kept positions of u, v and the
+        non-terminals, and the leaving vertices.
 
         A non-terminal that leaves as a leaf dies on either branch.
         Otherwise each branch builds its successor and reads the other
@@ -184,54 +192,66 @@ class FrontierSearch:
         """
         _, fresh, iu, iv, keep, kept, nonterminal, dropped, all_seen = self.steps[i]
         shift, degree = self.shift, self.degree_mask
-        ext = state + fresh
-        eu, ev = ext[iu], ext[iv]
-        cu, cv = eu >> shift, ev >> shift
-        if dropped:
-            # leaving vertices that name their component, and the degree
-            # fields of the leaving non-terminals (2 is degree 1)
-            gone = [z for j, z, _ in dropped if ext[j] >> shift == z]
-            leaving = [ext[j] & degree for j, _, nt in dropped if nt]
-        else:
-            gone = leaving = ()
+        project = None  # None: the kept entries are ext itself, in order
+        if dropped or keep != tuple(range(len(keep))):
+            project = itemgetter(*keep) if len(keep) > 1 else (
+                lambda ext: tuple([ext[j] for j in keep]))
+        bumps = [keep.index(j) for j in (iu, iv) if j in keep]
+        inner = [k for k, nt in enumerate(nonterminal) if nt]
 
-        if 2 in leaving:
-            lo = ZERO
-        elif gone:
-            lo, sealed = _renamed([ext[j] for j in keep], kept, gone, shift)
-            if eu & 1 and cu in sealed or ev & 1 and cv in sealed:
+        def decide(state: tuple, include: bool) -> tuple:
+            ext = state + fresh
+            eu, ev = ext[iu], ext[iv]
+            cu, cv = eu >> shift, ev >> shift
+            gone = []  # leaving vertices that name their component
+            lo_dies = hi_dies = False  # a leaving non-terminal would be a leaf
+            for j, z, nt in dropped:
+                entry = ext[j]
+                if nt and entry & degree == 2:
+                    lo_dies = True
+                elif nt and not entry & degree:
+                    hi_dies = True
+                if entry >> shift == z:
+                    gone.append(z)
+            entries = ext if project is None else project(ext)
+
+            if lo_dies:
                 lo = ZERO
-        else:
-            lo = tuple([ext[j] for j in keep]) or ZERO
+            elif gone:
+                lo, sealed = _renamed(list(entries), kept, gone, shift)
+                if eu & 1 and cu in sealed or ev & 1 and cv in sealed:
+                    lo = ZERO
+            else:
+                lo = entries or ZERO
 
-        if not include or 0 in leaving or cu == cv:
-            return lo, ZERO
-        holds_all = False
-        if all_seen:
-            # entered terminals are all on the frontier, or all sealed off
-            holders = {e >> shift for e in ext if e & 1}
-            holds_all = bool(holders) and holders <= {cu, cv}
+            if not include or hi_dies or cu == cv:
+                return lo, ZERO
+            holds_all = False
+            if all_seen:
+                # entered terminals are all on the frontier, or all sealed off
+                holders = {entry >> shift for entry in ext if entry & 1}
+                holds_all = bool(holders) and holders <= {cu, cv}
 
-        m = cu if cu < cv else cv
-        t = (eu | ev) & 1
-        merged = m << shift | t
-        out = []
-        for j in keep:
-            entry = ext[j]
-            rep = entry >> shift
-            if rep == cu or rep == cv:
-                entry = merged | (entry & degree) + (((j == iu) + (j == iv)) << 1)
-            out.append(entry)
-        if holds_all and not any(
-            entry & degree == 2 and nt for entry, nt in zip(out, nonterminal)
-        ):
-            return lo, ONE
-        if not gone:
-            return lo, tuple(out) or ZERO
-        hi, sealed = _renamed(out, kept, gone, shift)
-        if m in sealed and t and not holds_all:
-            hi = ZERO
-        return lo, hi
+            m = cu if cu < cv else cv
+            t = (eu | ev) & 1
+            merged = m << shift | t
+            pair = (cu, cv)
+            out = [
+                merged | entry & degree if entry >> shift in pair else entry
+                for entry in entries
+            ]
+            for k in bumps:
+                out[k] += 2
+            if holds_all and all(out[k] & degree != 2 for k in inner):
+                return lo, ONE
+            if not gone:
+                return lo, tuple(out) or ZERO
+            hi, sealed = _renamed(out, kept, gone, shift)
+            if m in sealed and t and not holds_all:
+                hi = ZERO
+            return lo, hi
+
+        return decide
 
 
 def _renamed(entries: list, vertices: tuple[int, ...], gone: list[int], shift: int):
@@ -264,59 +284,77 @@ def construct_bdd(
     minimal Steiner trees of cost <= theta (plus, possibly, paths over
     theta, which the traversal's exact cost check discards).
 
-    Levels are processed once each; only the previous layer's states
-    stay in memory.  Nodes with equal states merge and keep the cheaper
-    cost into them, so an inclusion dies when even the cheapest path
-    into its node, plus the edge, exceeds theta.  Ids are contiguous per
-    level and nodes are decided in id order, so each node's arcs are
-    appended to the ``lo``/``hi`` arrays as it is decided, and the
-    arrays become the diagram's.
+    Levels are processed once each, by their step fetched once; only
+    the previous layer's states, the keys of its id table, stay in
+    memory.  Nodes with equal states merge and keep the cheaper cost
+    into them, so an inclusion dies when even the cheapest path into its
+    node, plus the edge, exceeds theta; without theta, costs decide
+    nothing and are not kept.  Ids are contiguous per level and nodes
+    are decided in id order, so each node's arcs are appended to the
+    ``lo``/``hi`` arrays as it is decided, and the arrays become the
+    diagram's.
     """
     search = FrontierSearch(g, order)
     if theta is not None and theta < 0:
         raise GraphError("theta must be non-negative")
     m = len(order.permutation)
+    limit = node_cap + 2  # the first id over the cap
+
+    def over_cap(i: int, base: int) -> NodeCapExceeded:
+        sizes = [len(lvl) for lvl in levels[1:]] + [limit - base]
+        return NodeCapExceeded(node_cap, i, sizes + [0] * (m - len(sizes)))
 
     lo = array("q", (-1, -1))
     hi = array("q", (-1, -1))
     levels: list[range] = [range(0), range(2, 3)]  # the root 2 is level 1
-    states: list[tuple] = [()]
+    states: dict[tuple, int] = {(): 2}  # state -> id, in id order
     costs: list[int] = [0]  # cheapest path cost into each node of a level
     for i in range(1, m + 1):
-        c = search.steps[i].cost
-        base = len(lo) + len(states)  # first id of level i+1
-        nxt: list[tuple] = []
-        nxt_costs: list[int] = []
+        step, c = search.step(i), search.steps[i].cost
+        base = new = len(lo) + len(states)  # first id of level i+1
         table: dict[tuple, int] = {}
-
-        def node(child: tuple, cost: int) -> int:
-            # id of the next-level node for child; a merge keeps the
-            # cheaper cost
-            nid = table.get(child)
-            if nid is None:
-                nid = base + len(nxt)
-                if nid - 2 >= node_cap:
-                    sizes = [len(lvl) for lvl in levels[1:]] + [len(nxt)]
-                    raise NodeCapExceeded(
-                        node_cap, i, sizes + [0] * (m - len(sizes))
-                    )
-                nxt.append(child)
-                nxt_costs.append(cost)
-                table[child] = nid
-            elif cost < nxt_costs[nid - base]:
-                nxt_costs[nid - base] = cost
-            return nid
-
-        for state, cost in zip(states, costs):
-            to_lo, to_hi = search.branches(
-                state, i, theta is None or cost + c <= theta
-            )
-            # a target that is not a state is a sink id
-            lo.append(node(to_lo, cost) if to_lo.__class__ is tuple else to_lo)
-            hi.append(node(to_hi, cost + c) if to_hi.__class__ is tuple else to_hi)
+        place = table.setdefault
+        # a target that is not a state is a sink id
+        if theta is None:
+            for state in states:
+                to_lo, to_hi = step(state, True)
+                if to_lo.__class__ is tuple:
+                    to_lo = place(to_lo, new)
+                    new += to_lo == new
+                if to_hi.__class__ is tuple:
+                    to_hi = place(to_hi, new)
+                    new += to_hi == new
+                lo.append(to_lo)
+                hi.append(to_hi)
+                if new > limit:
+                    raise over_cap(i, base)
+        else:
+            nxt_costs: list[int] = []
+            for state, cost in zip(states, costs):
+                to_lo, to_hi = step(state, cost + c <= theta)
+                if to_lo.__class__ is tuple:
+                    to_lo = place(to_lo, new)
+                    if to_lo == new:
+                        new += 1
+                        nxt_costs.append(cost)
+                    elif cost < nxt_costs[to_lo - base]:
+                        nxt_costs[to_lo - base] = cost
+                if to_hi.__class__ is tuple:
+                    cost += c
+                    to_hi = place(to_hi, new)
+                    if to_hi == new:
+                        new += 1
+                        nxt_costs.append(cost)
+                    elif cost < nxt_costs[to_hi - base]:
+                        nxt_costs[to_hi - base] = cost
+                lo.append(to_lo)
+                hi.append(to_hi)
+                if new > limit:
+                    raise over_cap(i, base)
+            costs = nxt_costs
         if i < m:
-            levels.append(range(base, base + len(nxt)))
-        states, costs = nxt, nxt_costs
+            levels.append(range(base, new))
+        states = table
 
     # any state surviving past the last level is impossible on connected
     # input; empty successor states were already routed to the 0-sink

@@ -33,9 +33,10 @@ class RunConfig(Record):
 
     Exactly one of ``theta`` (absolute, unscaled input units) and
     ``theta_ratio`` applies, and neither may be negative; leaving both
-    unset means ratio 1.2.  The
-    ratio multiplies the cheapest seed tree's cost; without seeds the
-    reference is one shortest-path tree from ``seed_root``.
+    unset means ratio 1.2.  The ratio multiplies the cheapest seed
+    tree's cost; without seeds the reference is one shortest-path tree
+    from ``seed_root``.  A float theta or ratio counts as the decimal it
+    prints as, and an infinite one sets no bound.
     ``use_seeds``/``use_simplify`` toggle the two preprocessing stages;
     exact mode is both off.  The run writes the ``k`` cheapest trees
     within theta, or all of them when fewer exist.  ``seed_trees``
@@ -45,8 +46,8 @@ class RunConfig(Record):
     """
 
     k: int = 1000
-    theta: Fraction | float | None = None  # math.inf disables the bound
-    theta_ratio: Fraction | None = None
+    theta: Fraction | float | None = None
+    theta_ratio: Fraction | float | None = None
     seeds: SeedConfig = SeedConfig()
     seed_root: int | None = None
     use_seeds: bool = True
@@ -94,23 +95,24 @@ def _active_vertex_count(g: Graph) -> int:
 def resolve_theta(
     cfg: RunConfig, g: Graph, reference_cost: int | None = None
 ) -> int | None:
-    """Scaled integer bound, or None for unbounded.  Absolute theta
-    scales by the graph's fixed-point factor; a ratio takes the floor of
-    ratio * reference, where the reference is ``reference_cost`` or, when
-    that is None, the cost of one shortest-path tree from
-    ``cfg.seed_root``.  A float theta counts as the decimal it prints as,
-    so 0.29 means 29/100 rather than the binary value just below."""
+    """Scaled integer bound, or None when the bound is infinite.
+    Absolute theta scales by the graph's fixed-point factor; a ratio
+    takes the floor of ratio * reference, where the reference is
+    ``reference_cost`` or, when that is None, the cost of one
+    shortest-path tree from ``cfg.seed_root``.  A float counts as the
+    decimal it prints as: 0.29 means 29/100, not the binary value below."""
+    bound = cfg.theta if cfg.theta is not None else cfg.theta_ratio
+    if bound == math.inf:
+        return None
+    if isinstance(bound, float):
+        bound = Fraction(repr(bound))
     if cfg.theta is not None:
-        if cfg.theta == math.inf:
-            return None
-        theta = cfg.theta
-        if isinstance(theta, float):
-            theta = Fraction(repr(theta))
-        return math.floor(theta * g.cost_scale)
-    ratio = cfg.theta_ratio if cfg.theta_ratio is not None else Fraction(6, 5)
+        return math.floor(bound * g.cost_scale)
     if reference_cost is None:
         reference_cost = tosp_tree(g, cfg.seed_root).cost
-    return math.floor(ratio * reference_cost)
+    if bound is None:
+        bound = Fraction(6, 5)
+    return math.floor(bound * reference_cost)
 
 
 class Diagram(Record):

@@ -419,6 +419,39 @@ class TestAgainstThreePredicateStep:
                 states = list(dict.fromkeys(nxt))
 
 
+class TestUnboundedLoop:
+    def test_same_diagram_as_a_bound_that_prunes_nothing(self):
+        """Without theta construction keeps no costs; with theta at the
+        sum of all edge costs it keeps them and prunes nothing.  Both
+        build one diagram, on simple and subdivided graphs, on
+        multigraphs with a parallel edge and a self-loop, on graphs with
+        a hub, and on the 6x8 corner grid."""
+        rng = random.Random(13)
+        graphs = [grid_graph(6, 8, [1, 8, 41, 48])]
+        for n in range(300):
+            if n >= 270:
+                g = hub_graph(rng)
+            else:
+                g = random_connected_graph(rng)
+                if n % 3 == 0:
+                    g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+                if n >= 180:
+                    g = add_parallel_edge_and_loop(g, rng, n % 2 == 0)
+            graphs.append(g)
+
+        def digest(bdd):  # a mismatch on the grid is too long to diff
+            return hashlib.sha256(bdd.dump().encode()).hexdigest()
+
+        sizes = []
+        for g in graphs:
+            order = order_edges(g)
+            total = sum(c for _, _, c in g.edges)
+            bdd = construct_bdd(g, order)
+            assert digest(bdd) == digest(construct_bdd(g, order, total))
+            sizes.append(bdd.node_count)
+        assert sizes[0] == 87_624  # the grid
+
+
 class TestLayout:
     def test_levels_are_contiguous_id_ranges(self):
         """Each level is one run of ids, the runs rise level by level and
@@ -503,6 +536,13 @@ class TestCapacityAndValidation:
             construct_bdd(g, order_edges(g), node_cap=8)
         assert exc.value.level == 3
         assert exc.value.layer_sizes == [1, 2, 3, 2, 0]
+        # the bounded loop stops alike under the sum of all edge costs,
+        # a bound that prunes nothing
+        with pytest.raises(NodeCapExceeded) as bounded:
+            construct_bdd(g, order_edges(g), 5, node_cap=8)
+        assert bounded.value.level == 3
+        assert bounded.value.layer_sizes == [1, 2, 3, 2, 0]
+        assert str(bounded.value) == str(exc.value)
 
     def test_needs_two_terminals(self):
         g = Graph(2, ((1, 2, 1),), frozenset({1}))

@@ -55,6 +55,22 @@ class TestResolveTheta:
         assert res.theta == 29
         assert [(t.cost, t.sorted_edges()) for t in res.trees] == [(29, (0, 1))]
 
+    @pytest.mark.parametrize("ratio", [0.29, Fraction("0.29")])
+    def test_float_ratio_is_its_decimal(self, ratio):
+        # 0.29 * 100 is 28.999... in binary floating point
+        g = parse_stp(DECIMAL_PATH_STP)
+        assert resolve_theta(RunConfig(theta_ratio=ratio), g, 100) == 29
+
+    def test_infinite_ratio_is_no_bound(self, triangle):
+        # as theta=inf: the default ratio 1.2 would keep only the cost-2 tree
+        assert resolve_theta(RunConfig(theta_ratio=math.inf), triangle, 2) is None
+        for cfg in (RunConfig(theta_ratio=math.inf), RunConfig(theta=math.inf)):
+            res = run(triangle, cfg)
+            assert res.theta is None
+            assert [t.edges for t in res.trees] == [
+                frozenset({0, 1}), frozenset({2})
+            ]
+
     def test_negative_theta_rejected(self):
         g = parse_stp(DECIMAL_PATH_STP)
         with pytest.raises(GraphError):
