@@ -161,7 +161,10 @@ class FrontierSearch:
             before = kept
 
     def branches(self, state: tuple, i: int, include: bool) -> tuple:
-        """``step(i)(state, include)``, for one state."""
+        """``step(i)(state, include)``: the public entry for deciding a
+        single state.  It plans level i on every call, so a loop over a
+        level's states should fetch ``step(i)`` once, as
+        ``construct_bdd`` does."""
         return self.step(i)(state, include)
 
     def step(self, i: int):
@@ -288,11 +291,10 @@ def construct_bdd(
     the previous layer's states, the keys of its id table, stay in
     memory.  Nodes with equal states merge and keep the cheaper cost
     into them, so an inclusion dies when even the cheapest path into its
-    node, plus the edge, exceeds theta; without theta, costs decide
-    nothing and are not kept.  Ids are contiguous per level and nodes
-    are decided in id order, so each node's arcs are appended to the
-    ``lo``/``hi`` arrays as it is decided, and the arrays become the
-    diagram's.
+    node, plus the edge, exceeds theta.  Ids are contiguous per level
+    and nodes are decided in id order, so each node's arcs are appended
+    to the ``lo``/``hi`` arrays as it is decided, and the arrays become
+    the diagram's.
     """
     search = FrontierSearch(g, order)
     if theta is not None and theta < 0:
@@ -314,44 +316,30 @@ def construct_bdd(
         base = new = len(lo) + len(states)  # first id of level i+1
         table: dict[tuple, int] = {}
         place = table.setdefault
+        nxt_costs: list[int] = []
         # a target that is not a state is a sink id
-        if theta is None:
-            for state in states:
-                to_lo, to_hi = step(state, True)
-                if to_lo.__class__ is tuple:
-                    to_lo = place(to_lo, new)
-                    new += to_lo == new
-                if to_hi.__class__ is tuple:
-                    to_hi = place(to_hi, new)
-                    new += to_hi == new
-                lo.append(to_lo)
-                hi.append(to_hi)
-                if new > limit:
-                    raise over_cap(i, base)
-        else:
-            nxt_costs: list[int] = []
-            for state, cost in zip(states, costs):
-                to_lo, to_hi = step(state, cost + c <= theta)
-                if to_lo.__class__ is tuple:
-                    to_lo = place(to_lo, new)
-                    if to_lo == new:
-                        new += 1
-                        nxt_costs.append(cost)
-                    elif cost < nxt_costs[to_lo - base]:
-                        nxt_costs[to_lo - base] = cost
-                if to_hi.__class__ is tuple:
-                    cost += c
-                    to_hi = place(to_hi, new)
-                    if to_hi == new:
-                        new += 1
-                        nxt_costs.append(cost)
-                    elif cost < nxt_costs[to_hi - base]:
-                        nxt_costs[to_hi - base] = cost
-                lo.append(to_lo)
-                hi.append(to_hi)
-                if new > limit:
-                    raise over_cap(i, base)
-            costs = nxt_costs
+        for state, cost in zip(states, costs):
+            to_lo, to_hi = step(state, theta is None or cost + c <= theta)
+            if to_lo.__class__ is tuple:
+                to_lo = place(to_lo, new)
+                if to_lo == new:
+                    new += 1
+                    nxt_costs.append(cost)
+                elif cost < nxt_costs[to_lo - base]:
+                    nxt_costs[to_lo - base] = cost
+            if to_hi.__class__ is tuple:
+                cost += c
+                to_hi = place(to_hi, new)
+                if to_hi == new:
+                    new += 1
+                    nxt_costs.append(cost)
+                elif cost < nxt_costs[to_hi - base]:
+                    nxt_costs[to_hi - base] = cost
+            lo.append(to_lo)
+            hi.append(to_hi)
+            if new > limit:
+                raise over_cap(i, base)
+        costs = nxt_costs
         if i < m:
             levels.append(range(base, new))
         states = table

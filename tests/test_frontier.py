@@ -419,13 +419,12 @@ class TestAgainstThreePredicateStep:
                 states = list(dict.fromkeys(nxt))
 
 
-class TestUnboundedLoop:
-    def test_same_diagram_as_a_bound_that_prunes_nothing(self):
-        """Without theta construction keeps no costs; with theta at the
-        sum of all edge costs it keeps them and prunes nothing.  Both
-        build one diagram, on simple and subdivided graphs, on
-        multigraphs with a parallel edge and a self-loop, on graphs with
-        a hub, and on the 6x8 corner grid."""
+class TestLooseBound:
+    def test_same_diagram_as_no_bound(self):
+        """Theta at the sum of all edge costs prunes nothing, so it
+        builds the diagram that no theta builds: on simple and
+        subdivided graphs, on multigraphs with a parallel edge and a
+        self-loop, on graphs with a hub, and on the 6x8 corner grid."""
         rng = random.Random(13)
         graphs = [grid_graph(6, 8, [1, 8, 41, 48])]
         for n in range(300):
@@ -536,8 +535,8 @@ class TestCapacityAndValidation:
             construct_bdd(g, order_edges(g), node_cap=8)
         assert exc.value.level == 3
         assert exc.value.layer_sizes == [1, 2, 3, 2, 0]
-        # the bounded loop stops alike under the sum of all edge costs,
-        # a bound that prunes nothing
+        # a bound that prunes nothing, the sum of all edge costs, stops
+        # at the same node
         with pytest.raises(NodeCapExceeded) as bounded:
             construct_bdd(g, order_edges(g), 5, node_cap=8)
         assert bounded.value.level == 3
