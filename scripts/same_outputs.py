@@ -7,8 +7,10 @@ OTHER_SRC is the ``src/`` directory of another checkout, for example of
 the parent commit (``git worktree add ../parent HEAD~1``, then pass
 ``../parent/src``).  Each command runs once with ``PYTHONPATH`` set to
 this checkout's ``src/`` and once with it set to OTHER_SRC, and every
-command whose exit code, stdout or stderr differ is printed.  The exit
-status is 1 if any differ, else 0.
+command whose exit code, stdout or stderr differ is printed.  The last
+lines count the differing commands by subcommand and stream, one line
+per pair, such as ``build stdout: 20``.  The exit status is 1 if any
+differ, else 0.
 
 The instances are the benchmark's (``perfbench/instances.py``, seeds
 0-4).  The 170 commands are ``enumerate`` with each workload's own flags
@@ -37,6 +39,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -141,6 +144,15 @@ def outcome(src: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def tally(differences) -> list[str]:
+    """One line per (subcommand, stream) pair among differences, which
+    are (command, differing streams) pairs, with the number of commands
+    whose stream differs: ``build stdout: 20``.  Sorted by subcommand,
+    then stream."""
+    counts = Counter((cmd[0], part) for cmd, parts in differences for part in parts)
+    return [f"{sub} {part}: {n}" for (sub, part), n in sorted(counts.items())]
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -153,16 +165,18 @@ def main(argv=None) -> int:
     ours = ROOT / "src"
     with tempfile.TemporaryDirectory() as tmp:
         cmds = commands(Path(tmp))
-        differing = 0
+        differences = []
         for cmd in cmds:
             a, b = outcome(ours, cmd), outcome(other, cmd)
             if a != b:
-                differing += 1
                 parts = [name for name, x, y in zip(("exit code", "stdout", "stderr"), a, b)
                          if x != y]
+                differences.append((cmd, parts))
                 print(f"differs ({', '.join(parts)}): steinerenum {' '.join(cmd)}")
-    print(f"{differing} of {len(cmds)} commands differ")
-    return 1 if differing else 0
+    print(f"{len(differences)} of {len(cmds)} commands differ")
+    for line in tally(differences):
+        print(line)
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":

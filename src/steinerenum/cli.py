@@ -58,16 +58,27 @@ EXIT_NODE_CAP = 5
 EXIT_TRUNCATED = 6
 
 
-def _tree_line(tree: SteinerTree, g: Graph) -> str:
+def _tree_line(tree: SteinerTree, g: Graph, texts: dict[int, str] | None = None) -> str:
     """The tree as one JSON object, ``{"cost": c, "edges": [[u, v], ...]}``
-    with edges ascending by index, written out without the json module."""
-    edges = g.edges
-    pairs = ", ".join([f"[{edges[i][0]}, {edges[i][1]}]" for i in tree.sorted_edges()])
+    with edges ascending by index, written out without the json module.
+    ``texts`` holds the ``[u, v]`` text of each edge (``_edge_texts``);
+    without it the tree's own edges are formatted."""
+    if texts is None:
+        texts = _edge_texts(g, tree.edges)
+    pairs = ", ".join(map(texts.__getitem__, tree.sorted_edges()))
     return f'{{"cost": {tree.cost}, "edges": [{pairs}]}}'
 
 
+def _edge_texts(g: Graph, indices) -> dict[int, str]:
+    edges = g.edges
+    return {i: f"[{edges[i][0]}, {edges[i][1]}]" for i in indices}
+
+
 def _emit_trees(trees, g: Graph, out: TextIOBase):
-    out.write("".join(_tree_line(t, g) + "\n" for t in trees))
+    """Write one line per tree, formatting each edge that the trees use
+    once rather than once per tree."""
+    texts = _edge_texts(g, set().union(*(t.edges for t in trees)))
+    out.write("".join(_tree_line(t, g, texts) + "\n" for t in trees))
 
 
 def _write_report(out: TextIOBase, res: RunResult):

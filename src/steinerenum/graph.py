@@ -9,7 +9,8 @@ the map needed to expand trees back onto the original edge set.
 from __future__ import annotations
 
 from fractions import Fraction
-from collections import deque
+from collections import Counter, deque
+from heapq import heappop, heappush
 from itertools import chain
 import math
 
@@ -373,8 +374,9 @@ class EdgeOrder(Record):
     ``permutation[i-1]`` is the original edge index processed at step i,
     and ``frontier_width`` is the largest frontier over the steps: the
     vertices incident to both processed and unprocessed edges.  The
-    frontiers themselves follow from the order and the graph
-    (``frontiers``), so one order serves any graph with these edges.
+    frontiers follow from the order and the graph (``frontiers``), so one
+    order serves any graph with these edges.  ``order_edges`` picks among
+    breadth-first orders and greedy sweeps by a score S, not by width.
     """
 
     permutation: tuple[int, ...]
@@ -389,27 +391,134 @@ def default_root(g: Graph) -> int:
 
 
 def order_edges(g: Graph) -> EdgeOrder:
-    """The narrower of two breadth-first edge orders.
+    """The candidate edge order with the least frontier-state score S.
 
-    Diagram size grows exponentially with the frontier width, so two
-    candidates are built, each in O(m): ``bfs_order`` from
-    ``default_root(g)`` and from a pseudo-peripheral vertex.  The one
-    with the smaller ``(frontier_width, sum of 2^|F_i|)`` wins, the
-    first on a tie.  Neither candidate is better on every graph: a BFS
-    from one end of a long axis keeps the frontier across the short one,
-    but on some graphs the default root is the better start.
+    S sums over the steps i the product over the frontier F_i of
+    (1 + min(d_i(v), 2)), d_i(v) the decided edge-ends at v (a loop
+    counts twice); unlike the width, it follows the constructed node
+    count.  Candidates, in order: ``bfs_order`` from ``default_root(g)``
+    and from a pseudo-peripheral vertex, then greedy vertex sweeps
+    (``_greedy_edges``) from those two and from every other vertex with
+    edges by ascending id.  A sweep costs m edge steps, and none starts
+    that would take the steps spent on sweeps past min(best S so far,
+    2^14), so the search costs no more than the diagram it predicts.
+    The lowest S wins, the earlier candidate on a tie.
     """
     root = default_root(g)
-    candidates = (_bfs_edges(g, root), _bfs_edges(g, pseudo_peripheral(g, root)))
-    perm, (width, _) = min(
-        ((perm, _profile(g, perm)) for perm in candidates), key=lambda pair: pair[1]
-    )
-    return EdgeOrder(tuple(perm), width)
+    far = pseudo_peripheral(g, root)
+    bfs = [(*_score(g, perm), perm) for perm in (_bfs_edges(g, root), _bfs_edges(g, far))]
+    best = min(bfs, key=lambda c: c[0])  # (S, width, permutation)
+    spent, swept, nbrs = 0, set(), None
+    for start in chain((root, far), range(1, g.vertex_count + 1)):
+        if start in swept or not g.adjacency[start]:
+            continue
+        spent += len(g.edges)
+        if spent > min(best[0], 1 << 14):
+            break
+        if nbrs is None:  # neighbour -> edge count, loops left out
+            nbrs = {v: Counter(x for i in adj if (x := g.other_end(i, v)) != v)
+                    for v, adj in enumerate(g.adjacency) if adj}
+        swept.add(start)
+        perm = _greedy_edges(g, start, nbrs)
+        scored = _score(g, perm)
+        if scored[0] < best[0]:
+            best = (*scored, perm)
+    return EdgeOrder(tuple(best[2]), best[1])
 
 
-def _profile(g: Graph, perm: list[int]) -> tuple[int, int]:
-    sizes = [len(live) for live in frontiers(g, perm)]
-    return max(sizes, default=0), sum(1 << n for n in sizes)
+def _score(g: Graph, perm) -> tuple[int, int]:
+    """S of perm (see ``order_edges``) and its frontier width, by an exact
+    running product of the factors 2 and 3.  Both endpoints are written
+    out: a loop over them slows the pass, which ``stats`` runs twice."""
+    deg = list(map(len, g.adjacency))
+    done = [0] * len(deg)  # decided edge-ends
+    edges = g.edges
+    product, total, live, width = 1, 0, 0, 0
+    for idx in perm:
+        u, v, _ = edges[idx]
+        d = done[u] = done[u] + 1
+        if d == 1:
+            if deg[u] > 1:
+                product *= 2
+                live += 1
+        elif d == deg[u]:
+            product //= 2 if d == 2 else 3
+            live -= 1
+        elif d == 2:
+            product = product // 2 * 3
+        d = done[v] = done[v] + 1
+        if d == 1:
+            if deg[v] > 1:
+                product *= 2
+                live += 1
+        elif d == deg[v]:
+            product //= 2 if d == 2 else 3
+            live -= 1
+        elif d == 2:
+            product = product // 2 * 3
+        total += product
+        if live > width:
+            width = live
+    return total, width
+
+
+def _greedy_edges(g: Graph, start: int, nbrs: dict[int, Counter]) -> list[int]:
+    """The edge order of a greedy vertex sweep from start.
+
+    The sweep places start, then one at a time the unplaced neighbour of
+    placed vertices whose placement multiplies the frontier product of
+    ``_score`` least, ties to the one discovered first.  Placing a vertex
+    decides its loops and its edges to unplaced vertices, by when their
+    far ends were discovered, then by edge index.  A key is that factor,
+    2^a 3^b with a, b >= -(K+1), times 6^(K+1), K the most neighbours of
+    any vertex: an exact integer.  Keys sit in a heap, and a placement
+    recomputes only those of the vertex's neighbours and theirs.
+    """
+    deg = list(map(len, g.adjacency))
+    done = [0] * len(deg)  # decided edge-ends
+    fac = [1] * len(deg)  # factor in the frontier product: 1, 2 or 3
+    stamp = [-1] * len(deg)  # discovery order, -1 until discovered
+    placed = [False] * len(deg)
+    scale = 6 ** (max(map(len, nbrs.values())) + 1)
+
+    def key(w: int) -> int:
+        num, den = 1, fac[w]
+        for x, c in nbrs[w].items():
+            if not placed[x]:
+                d = done[x] + c
+                num *= 1 if d == deg[x] else 2 if d == 1 else 3
+                den *= fac[x]
+        return num * scale // den
+
+    current = {start: 0}
+    heap = [(0, 0, start)]
+    stamp[start] = 0
+    discovered = 1
+    perm: list[int] = []
+    while heap:
+        k, _, w = heappop(heap)
+        if placed[w] or current[w] != k:
+            continue
+        placed[w] = True
+        done[w], fac[w] = deg[w], 1
+        redo = set()
+        for x, c in nbrs[w].items():  # by first edge to x, as found
+            if not placed[x]:
+                if stamp[x] < 0:
+                    stamp[x], discovered = discovered, discovered + 1
+                d = done[x] = done[x] + c
+                fac[x] = 1 if d == deg[x] else 2 if d == 1 else 3
+                redo.add(x)
+                redo.update(y for y in nbrs[x] if not placed[y] and stamp[y] >= 0)
+        ends = {(stamp[x], i) for i in g.adjacency[w]
+                if (x := g.other_end(i, w)) == w or not placed[x]}
+        perm.extend(i for _, i in sorted(ends))
+        for y in redo:
+            k = key(y)
+            if current.get(y) != k:
+                current[y] = k
+                heappush(heap, (k, stamp[y], y))
+    return perm
 
 
 def pseudo_peripheral(g: Graph, start: int) -> int:
@@ -465,7 +574,7 @@ def bfs_order(g: Graph, start: int | None = None) -> EdgeOrder:
     elif g.edges and not g.adjacency[start]:
         raise GraphError(f"start vertex {start} has no edges")
     perm = _bfs_edges(g, start)
-    return EdgeOrder(tuple(perm), _profile(g, perm)[0])
+    return EdgeOrder(tuple(perm), _score(g, perm)[1])
 
 
 def _bfs_edges(g: Graph, start: int) -> list[int]:

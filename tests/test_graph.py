@@ -18,18 +18,22 @@ from steinerenum import (
     SteinerTree,
     bfs_order,
     construct_bdd,
+    count_trees,
     expand_tree,
     order_edges,
     parse_stp,
+    reduce_bdd,
     select_seeds,
     simplify,
     union_subgraph,
     write_stp,
 )
-from steinerenum.graph import default_root, frontiers, pseudo_peripheral
+from perfbench.instances import WORKLOADS
+from steinerenum.graph import _score, default_root, frontiers, pseudo_peripheral
 from .stp_reference import reference_parse_stp
 from .conftest import (
     TRIANGLE_STP,
+    add_parallel_edge_and_loop,
     grid_graph,
     random_connected_graph,
     subdivide_edge,
@@ -42,6 +46,28 @@ def graphs(max_vertices=8, max_edges=12):
             random.Random(seed), max_vertices, max_edges
         ),
         st.integers(0, 2**32 - 1),
+    )
+
+
+def messy_graph(rng: random.Random) -> Graph:
+    """A random connected graph with up to two subdivided edges, a
+    parallel edge and a loop half the time, and its vertex v renumbered
+    2v, so the odd ids are isolated."""
+    g = random_connected_graph(rng, max_vertices=8, max_edges=12)
+    for _ in range(rng.randint(0, 2)):
+        g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+    if rng.random() < 0.5:
+        g = add_parallel_edge_and_loop(g, rng, rng.random() < 0.5)
+    return Graph(
+        2 * g.vertex_count + 1,
+        tuple((2 * u, 2 * v, w) for u, v, w in g.edges),
+        frozenset(2 * t for t in g.terminals),
+    )
+
+
+def multigraphs():
+    return st.builds(
+        lambda seed: messy_graph(random.Random(seed)), st.integers(0, 2**32 - 1)
     )
 
 
@@ -525,24 +551,64 @@ class TestOrderEdges:
 
     def test_never_scores_worse_than_default_bfs(self):
         rng = random.Random(2718)
-        picked_other = 0
+        swept = 0
         for _ in range(400):
             g = random_connected_graph(rng, max_vertices=10, max_edges=18)
             chosen, plain = order_edges(g), bfs_order(g)
             far = bfs_order(g, pseudo_peripheral(g, default_root(g)))
-            assert chosen in (plain, far)
-            assert profile(g, chosen) <= profile(g, plain)
-            assert profile(g, chosen) <= profile(g, far)
-            picked_other += chosen != plain
-        assert picked_other > 0
+            assert score(g, chosen) <= min(score(g, plain), score(g, far))
+            swept += chosen not in (plain, far)
+        assert swept > 0
 
     def test_6x8_corner_grid_narrows_to_width_6(self):
+        # the best breadth-first order, bfs_order(g, 48), scores 19,301
+        # and builds 87,624 nodes at width 6; a sweep runs the 6-high
+        # columns along the long side
         g = grid_graph(6, 8, [1, 8, 41, 48])
         assert bfs_order(g).frontier_width == 7
         order = order_edges(g)
-        assert order == bfs_order(g, 48)
         assert order.frontier_width == 6
-        assert construct_bdd(g, order).node_count == 87624
+        assert score(g, order) == 7_224
+        assert construct_bdd(g, order).node_count == 47_238
+
+    def test_4x8_corner_grid(self):
+        # bfs_order(g, 32) scores 1,994 and builds 4,012 nodes
+        g = grid_graph(4, 8, [1, 8, 25, 32])
+        order = order_edges(g)
+        assert order.frontier_width == 4
+        assert score(g, order) == 1_226
+        assert construct_bdd(g, order).node_count == 2_789
+
+    def test_seed_union_at_default_perturbation(self):
+        """Instance 0 of sparse-seeded seed 3 through the CLI's default
+        seed selection and simplify.  S ranks the two breadth-first orders
+        as their diagrams do: the root's (159,959 nodes) below the
+        pseudo-peripheral vertex's (182,667), though it is the wider."""
+        g = parse_stp(WORKLOADS["sparse-seeded"].instance(3, 0).stp())
+        union, _ = union_subgraph(g, select_seeds(g, SeedConfig()).edge_map)
+        s, _ = simplify(union)
+        root = default_root(s)
+        plain, far = bfs_order(s, root), bfs_order(s, pseudo_peripheral(s, root))
+        assert (plain.frontier_width, score(s, plain)) == (11, 50_474)
+        assert (far.frontier_width, score(s, far)) == (10, 140_405)
+        order = order_edges(s)
+        assert score(s, order) == 1_943
+        assert construct_bdd(s, order).node_count == 2_753
+
+    @settings(max_examples=60, deadline=None)
+    @given(multigraphs())
+    def test_on_multigraphs_with_chains_and_isolated_ids(self, g):
+        order = order_edges(g)
+        perm = order.permutation
+        assert sorted(perm) == list(range(len(g.edges)))
+        assert order.frontier_width == max(map(len, frontiers(g, perm)))
+        assert _score(g, perm) == (score(g, order), order.frontier_width)
+        root = default_root(g)
+        plain, far = bfs_order(g, root), bfs_order(g, pseudo_peripheral(g, root))
+        assert score(g, order) <= min(score(g, plain), score(g, far))
+        assert order_edges(g) == order
+        want = count_trees(reduce_bdd(construct_bdd(g, plain)))
+        assert count_trees(reduce_bdd(construct_bdd(g, order))) == want
 
     def test_pseudo_peripheral_jumps_until_eccentricity_stops_growing(self):
         # path 10-20-30-40-50 among 60 ids: from 20 the sweep reaches 50
@@ -593,9 +659,17 @@ class TestOrderEdges:
         assert order_edges(square) == order_edges(square)
 
 
-def profile(g, order):
-    sizes = [len(live) for live in frontiers(g, order.permutation)]
-    return order.frontier_width, sum(2**n for n in sizes)
+def score(g, order):
+    """S by its definition: over the steps, the product over the frontier
+    of 1 + min(decided edge-ends, 2)."""
+    decided = [0] * (g.vertex_count + 1)
+    total = 0
+    for idx, live in zip(order.permutation, frontiers(g, order.permutation)):
+        u, v, _ = g.edges[idx]
+        decided[u] += 1
+        decided[v] += 1
+        total += math.prod(1 + min(decided[z], 2) for z in live)
+    return total
 
 
 class TestSimplify:

@@ -41,3 +41,19 @@ class TestSameOutputs:
         assert code == 0
         assert '"terminals": 2' in out
         assert err == ""
+
+    def test_tally_counts_commands_by_subcommand_and_stream(self, same_outputs):
+        differences = [
+            (("build", "--input", "a.stp"), ["stdout", "stderr"]),
+            (("stats", "--input", "a.stp"), ["stdout"]),
+            (("build", "--input", "b.stp", "--exact"), ["stdout"]),
+            (("enumerate", "--input", "a.stp"), ["exit code", "stderr"]),
+        ]
+        assert same_outputs.tally(differences) == [
+            "build stderr: 1",
+            "build stdout: 2",
+            "enumerate exit code: 1",
+            "enumerate stderr: 1",
+            "stats stdout: 1",
+        ]
+        assert same_outputs.tally([]) == []
