@@ -9,7 +9,7 @@ the map needed to expand trees back onto the original edge set.
 from __future__ import annotations
 
 from fractions import Fraction
-from collections import Counter, deque
+from collections import deque
 from heapq import heappop, heappush
 from itertools import chain
 import math
@@ -376,7 +376,8 @@ class EdgeOrder(Record):
     vertices incident to both processed and unprocessed edges.  The
     frontiers follow from the order and the graph (``frontiers``), so one
     order serves any graph with these edges.  ``order_edges`` picks among
-    breadth-first orders and greedy sweeps by a score S, not by width.
+    greedy vertex sweeps by a score S, not by width; ``bfs_order`` gives
+    the breadth-first order from a chosen vertex.
     """
 
     permutation: tuple[int, ...]
@@ -391,35 +392,38 @@ def default_root(g: Graph) -> int:
 
 
 def order_edges(g: Graph) -> EdgeOrder:
-    """The candidate edge order with the least frontier-state score S.
+    """The greedy vertex sweep (``_greedy_edges``) with the least
+    frontier-state score S.
 
     S sums over the steps i the product over the frontier F_i of
     (1 + min(d_i(v), 2)), d_i(v) the decided edge-ends at v (a loop
     counts twice); unlike the width, it follows the constructed node
-    count.  Candidates, in order: ``bfs_order`` from ``default_root(g)``
-    and from a pseudo-peripheral vertex, then greedy vertex sweeps
-    (``_greedy_edges``) from those two and from every other vertex with
-    edges by ascending id.  A sweep costs m edge steps, and none starts
-    that would take the steps spent on sweeps past min(best S so far,
-    2^14), so the search costs no more than the diagram it predicts.
-    The lowest S wins, the earlier candidate on a tie.
+    count.  Sweeps start from ``default_root(g)``, then from the vertex
+    that sweep discovers last, then from every other vertex with edges
+    by ascending id.  The root's sweep always runs.  A sweep costs m
+    edge steps, and no later one starts that would take the steps spent
+    on sweeps past min(best S so far, 2^14), so the search costs no more
+    than the diagram it predicts.  The lowest S wins, the earlier sweep
+    on a tie.
     """
     root = default_root(g)
-    far = pseudo_peripheral(g, root)
-    bfs = [(*_score(g, perm), perm) for perm in (_bfs_edges(g, root), _bfs_edges(g, far))]
-    best = min(bfs, key=lambda c: c[0])  # (S, width, permutation)
-    spent, swept, nbrs = 0, set(), None
-    for start in chain((root, far), range(1, g.vertex_count + 1)):
+    nbrs = [{} for _ in g.adjacency]  # neighbour -> edge count, loops left out
+    for u, v, _ in g.edges:
+        if u != v:
+            nu, nv = nbrs[u], nbrs[v]
+            nu[v] = nu.get(v, 0) + 1
+            nv[u] = nv.get(u, 0) + 1
+    perm, last = _greedy_edges(g, root, nbrs)
+    best = (*_score(g, perm), perm)  # (S, width, permutation)
+    spent, swept = len(g.edges), {root}
+    for start in chain((last,), range(1, g.vertex_count + 1)):
         if start in swept or not g.adjacency[start]:
             continue
         spent += len(g.edges)
         if spent > min(best[0], 1 << 14):
             break
-        if nbrs is None:  # neighbour -> edge count, loops left out
-            nbrs = {v: Counter(x for i in adj if (x := g.other_end(i, v)) != v)
-                    for v, adj in enumerate(g.adjacency) if adj}
         swept.add(start)
-        perm = _greedy_edges(g, start, nbrs)
+        perm, _ = _greedy_edges(g, start, nbrs)
         scored = _score(g, perm)
         if scored[0] < best[0]:
             best = (*scored, perm)
@@ -429,7 +433,7 @@ def order_edges(g: Graph) -> EdgeOrder:
 def _score(g: Graph, perm) -> tuple[int, int]:
     """S of perm (see ``order_edges``) and its frontier width, by an exact
     running product of the factors 2 and 3.  Both endpoints are written
-    out: a loop over them slows the pass, which ``stats`` runs twice."""
+    out: a loop over them slows the pass, which runs once per sweep."""
     deg = list(map(len, g.adjacency))
     done = [0] * len(deg)  # decided edge-ends
     edges = g.edges
@@ -462,8 +466,11 @@ def _score(g: Graph, perm) -> tuple[int, int]:
     return total, width
 
 
-def _greedy_edges(g: Graph, start: int, nbrs: dict[int, Counter]) -> list[int]:
-    """The edge order of a greedy vertex sweep from start.
+def _greedy_edges(
+    g: Graph, start: int, nbrs: list[dict[int, int]]
+) -> tuple[list[int], int]:
+    """The edge order of a greedy vertex sweep from start, and the
+    vertex the sweep discovered last.
 
     The sweep places start, then one at a time the unplaced neighbour of
     placed vertices whose placement multiplies the frontier product of
@@ -479,7 +486,7 @@ def _greedy_edges(g: Graph, start: int, nbrs: dict[int, Counter]) -> list[int]:
     fac = [1] * len(deg)  # factor in the frontier product: 1, 2 or 3
     stamp = [-1] * len(deg)  # discovery order, -1 until discovered
     placed = [False] * len(deg)
-    scale = 6 ** (max(map(len, nbrs.values())) + 1)
+    scale = 6 ** (max(map(len, nbrs)) + 1)
 
     def key(w: int) -> int:
         num, den = 1, fac[w]
@@ -493,7 +500,8 @@ def _greedy_edges(g: Graph, start: int, nbrs: dict[int, Counter]) -> list[int]:
     current = {start: 0}
     heap = [(0, 0, start)]
     stamp[start] = 0
-    discovered = 1
+    discovered, last = 1, start
+    edges = g.edges
     perm: list[int] = []
     while heap:
         k, _, w = heappop(heap)
@@ -505,58 +513,24 @@ def _greedy_edges(g: Graph, start: int, nbrs: dict[int, Counter]) -> list[int]:
         for x, c in nbrs[w].items():  # by first edge to x, as found
             if not placed[x]:
                 if stamp[x] < 0:
-                    stamp[x], discovered = discovered, discovered + 1
+                    stamp[x], discovered, last = discovered, discovered + 1, x
                 d = done[x] = done[x] + c
                 fac[x] = 1 if d == deg[x] else 2 if d == 1 else 3
                 redo.add(x)
                 redo.update(y for y in nbrs[x] if not placed[y] and stamp[y] >= 0)
-        ends = {(stamp[x], i) for i in g.adjacency[w]
-                if (x := g.other_end(i, w)) == w or not placed[x]}
+        ends = set()
+        for i in g.adjacency[w]:
+            a, b, _ = edges[i]
+            x = b if a == w else a
+            if x == w or not placed[x]:
+                ends.add((stamp[x], i))
         perm.extend(i for _, i in sorted(ends))
         for y in redo:
             k = key(y)
             if current.get(y) != k:
                 current[y] = k
                 heappush(heap, (k, stamp[y], y))
-    return perm
-
-
-def pseudo_peripheral(g: Graph, start: int) -> int:
-    """A vertex of nearly maximal eccentricity in start's component.
-
-    The double sweep of Gibbs, Poole & Stockmeyer (1976): jump to a
-    farthest vertex (least degree, then least id) until the
-    eccentricity stops growing, and end on the last vertex reached.
-    Each sweep is one BFS, and every sweep but the last raises the
-    eccentricity, which the diameter bounds.
-    """
-    ecc, far = _sweep(g, start)
-    while True:
-        reached = far
-        far_ecc, far = _sweep(g, reached)
-        if far_ecc <= ecc:
-            return reached
-        ecc = far_ecc
-
-
-def _sweep(g: Graph, start: int) -> tuple[int, int]:
-    """Eccentricity of start, and its farthest vertex of least degree,
-    ties to the least id."""
-    seen = {start}
-    layer = [start]
-    depth = 0
-    while True:
-        nxt = []
-        for u in layer:
-            for idx in g.adjacency[u]:
-                w = g.other_end(idx, u)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            return depth, min(layer, key=lambda v: (g.degree(v), v))
-        layer = nxt
-        depth += 1
+    return perm, last
 
 
 def bfs_order(g: Graph, start: int | None = None) -> EdgeOrder:

@@ -374,6 +374,18 @@ class TestOtherSubcommands:
         assert bfs_order(g).frontier_width == 5
         assert data["frontier_width"] == 4
 
+    def test_stats_on_one_vertex_without_edges(self, tmp_path):
+        p = tmp_path / "one.stp"
+        p.write_text(
+            "SECTION Graph\nNodes 1\nEdges 0\nEND\n"
+            "SECTION Terminals\nTerminals 1\nT 1\nEND\nEOF\n"
+        )
+        proc = run_cli("stats", "--input", str(p))
+        assert proc.returncode == 0
+        data = json.loads(proc.stdout)
+        assert (data["vertices"], data["edges"]) == (1, 0)
+        assert data["frontier_width"] == 0
+
     def test_count(self, tri_path, all_term_path):
         assert run_cli("count", "--input", tri_path).stdout.strip() == "2"
         assert run_cli("count", "--input", all_term_path).stdout.strip() == "3"

@@ -268,7 +268,7 @@ class TestMerging:
             ((1, 4, 5), (1, 2, 3), (2, 3, 10), (3, 4, 8)),
             frozenset({1, 2, 3}),
         )
-        search = TripleSearch(g, order_edges(g))
+        search = TripleSearch(g, EdgeOrder((1, 0, 2, 3), 2))
         joined = walk_states(search, (1, 1, 1))
         split = walk_states(search, (0, 1, 1))
         assert joined == ((3, True, 1), (3, True, 1))
