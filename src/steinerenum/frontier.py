@@ -91,17 +91,18 @@ class Bdd(Record):
 # A state entering step i covers the frontier F_{i-1} that the steps
 # before it leave; with ``fresh`` appended it becomes the working
 # sequence that every index below points into.  Only u and v can leave
-# at step i, and a component is sealed here when no kept entry carries
-# its representative: none of its vertices touches an undecided edge.
+# at step i.  A component is named after the member that leaves last, so
+# it is sealed here, none of its vertices touching an undecided edge,
+# exactly when its name is one of ``sealed``.
 _Step = namedtuple("_Step", (
     "cost",
     "fresh",  # entries of the endpoints entering here
     "iu",  # indices of u and v
     "iv",
     "keep",  # index of each vertex of F_i
-    "kept",  # those vertices, ascending
-    "nonterminal",  # per kept vertex
-    "dropped",  # (index, vertex, non-terminal) per leaving vertex
+    "nonterminal",  # per vertex of F_i
+    "dropped",  # index per leaving non-terminal
+    "sealed",  # names of the leaving vertices
     "all_seen",  # every terminal has entered the frontier
 ))
 
@@ -111,17 +112,20 @@ class FrontierSearch:
 
     A state is the immutable tuple stored for a node at level i: one
     entry per vertex of the frontier F_{i-1} in ascending vertex order.
-    An entry is one int, ``rep << shift | degree << 1 | terminal``: the
-    vertex's component representative, its degree among the chosen
-    edges, and whether its component holds a terminal.  A component's
-    representative is its first frontier vertex, so equal tuples mean
-    equal partitions, and the tuple is its own merge key.  ``shift``
-    leaves room for the graph's largest degree, so equal entries are
-    equal triples.  Exact terminal counts and the path cost are not
-    stored: the first follows from the tuple and the level, and the cost
-    is the caller's concern.  ``step(i)`` decides edge i for a state,
-    both ways, in a single pass.  The steps follow from one walk
-    of the frontier over ``g``; the order must permute its edge indices.
+    An entry is one int, ``name << shift | degree << 1 | terminal``: the
+    name of the vertex's component, its degree among the chosen edges,
+    and whether its component holds a terminal.  Every vertex with an
+    edge has a fixed name, its rank by (step of its last edge, vertex
+    id), and a component carries the largest name among its members.
+    That member leaves the frontier last, so it is on the frontier while
+    its component is, a name never changes, and equal tuples mean equal
+    partitions: the tuple is its own merge key.  ``shift`` leaves room
+    for the graph's largest degree, so equal entries are equal
+    triples.  Exact terminal counts and the path cost are not stored:
+    the first follows from the tuple and the level, and the cost is the
+    caller's concern.  ``step(i)`` decides edge i for a state, both
+    ways, in a single pass.  The steps follow from one walk of the
+    frontier over ``g``; the order must permute its edge indices.
     """
 
     def __init__(self, g: Graph, order: EdgeOrder):
@@ -132,6 +136,12 @@ class FrontierSearch:
             raise GraphError("edge order is not a permutation of the graph's edges")
         self.shift = shift = max(map(len, g.adjacency)).bit_length() + 1
         self.degree_mask = (1 << shift) - 2
+        last = {}  # vertex -> step of its last edge
+        for i, idx in enumerate(perm):
+            u, v, _ = g.edges[idx]
+            last[u] = last[v] = i
+        by_leaving = sorted(last, key=lambda z: (last[z], z))
+        name = {z: r for r, z in enumerate(by_leaving)}
         terms = g.terminals
         unseen = set(terms)
         self.steps: list[_Step | None] = [None]
@@ -143,19 +153,16 @@ class FrontierSearch:
             vertices = before + tuple(entering)
             at = {z: j for j, z in enumerate(vertices)}
             kept = tuple(sorted(live))
-            keep = tuple(at[f] for f in kept)
+            leaving = [z for z in vertices if z not in live]
             self.steps.append(_Step(
                 cost=c,
-                fresh=tuple(z << shift | (z in terms) for z in entering),
+                fresh=tuple(name[z] << shift | (z in terms) for z in entering),
                 iu=at[u],
                 iv=at[v],
-                keep=keep,
-                kept=kept,
+                keep=tuple(at[f] for f in kept),
                 nonterminal=tuple(z not in terms for z in kept),
-                dropped=tuple(
-                    (j, z, z not in terms)
-                    for j, z in enumerate(vertices) if j not in keep
-                ),
+                dropped=tuple(at[z] for z in leaving if z not in terms),
+                sealed=tuple(name[z] for z in leaving),
                 all_seen=not unseen,
             ))
             before = kept
@@ -172,14 +179,13 @@ class FrontierSearch:
         ZERO, ONE or the successor state.  What is fixed per level is
         planned once: the getter of the kept entries (none when they are
         all the entries, in order), the kept positions of u, v and the
-        non-terminals, and the leaving vertices.
+        non-terminals, the leaving non-terminals and the leaving names.
 
         A non-terminal that leaves as a leaf dies on either branch.
-        Otherwise each branch builds its successor and reads the other
-        rules off it.  Exclusion dies when it seals a terminal-bearing
-        endpoint component (``_renamed`` finds no kept entry to carry its
-        representative).  Inclusion, skipped unless ``include`` (the
-        caller's cost bound), dies on a cycle, and when it seals a
+        Exclusion's successor is the kept entries; it dies when it seals
+        a terminal-bearing endpoint component (its name is in
+        ``sealed``).  Inclusion, skipped unless ``include`` (the caller's
+        cost bound), dies on a cycle, and when it seals a
         terminal-bearing merged component while terminals remain
         outside it.  It completes a minimal Steiner tree (ONE) when the
         merged component holds every terminal and no kept non-terminal
@@ -187,16 +193,14 @@ class FrontierSearch:
         hold no terminal, and its leaves, non-terminals that never left
         as leaves, would still be on the frontier.
 
-        Inclusion merges the endpoint components under the smaller
-        representative (holding a terminal if either did) and bumps both
-        endpoint degrees.  Endpoints on their last edge drop out; a
-        component one of them named is renamed after its first remaining
-        vertex; other entries are reused.  An emptied frontier is ZERO.
+        Inclusion merges the endpoint components under the larger name
+        (holding a terminal if either did) and bumps both endpoint
+        degrees; no other entry changes.  An emptied frontier is ZERO.
         """
-        _, fresh, iu, iv, keep, kept, nonterminal, dropped, all_seen = self.steps[i]
+        _, fresh, iu, iv, keep, nonterminal, dropped, sealed, all_seen = self.steps[i]
         shift, degree = self.shift, self.degree_mask
         project = None  # None: the kept entries are ext itself, in order
-        if dropped or keep != tuple(range(len(keep))):
+        if sealed or keep != tuple(range(len(keep))):
             project = itemgetter(*keep) if len(keep) > 1 else (
                 lambda ext: tuple([ext[j] for j in keep]))
         bumps = [keep.index(j) for j in (iu, iv) if j in keep]
@@ -206,24 +210,17 @@ class FrontierSearch:
             ext = state + fresh
             eu, ev = ext[iu], ext[iv]
             cu, cv = eu >> shift, ev >> shift
-            gone = []  # leaving vertices that name their component
             lo_dies = hi_dies = False  # a leaving non-terminal would be a leaf
-            for j, z, nt in dropped:
-                entry = ext[j]
-                if nt and entry & degree == 2:
+            for j in dropped:
+                d = ext[j] & degree
+                if d == 2:
                     lo_dies = True
-                elif nt and not entry & degree:
+                elif not d:
                     hi_dies = True
-                if entry >> shift == z:
-                    gone.append(z)
             entries = ext if project is None else project(ext)
 
-            if lo_dies:
+            if lo_dies or eu & 1 and cu in sealed or ev & 1 and cv in sealed:
                 lo = ZERO
-            elif gone:
-                lo, sealed = _renamed(list(entries), kept, gone, shift)
-                if eu & 1 and cu in sealed or ev & 1 and cv in sealed:
-                    lo = ZERO
             else:
                 lo = entries or ZERO
 
@@ -235,7 +232,7 @@ class FrontierSearch:
                 holders = {entry >> shift for entry in ext if entry & 1}
                 holds_all = bool(holders) and holders <= {cu, cv}
 
-            m = cu if cu < cv else cv
+            m = cu if cu > cv else cv
             t = (eu | ev) & 1
             merged = m << shift | t
             pair = (cu, cv)
@@ -247,33 +244,11 @@ class FrontierSearch:
                 out[k] += 2
             if holds_all and all(out[k] & degree != 2 for k in inner):
                 return lo, ONE
-            if not gone:
-                return lo, tuple(out) or ZERO
-            hi, sealed = _renamed(out, kept, gone, shift)
-            if m in sealed and t and not holds_all:
-                hi = ZERO
-            return lo, hi
+            if t and m in sealed and not holds_all:
+                return lo, ZERO
+            return lo, tuple(out) or ZERO
 
         return decide
-
-
-def _renamed(entries: list, vertices: tuple[int, ...], gone: list[int], shift: int):
-    """Entries with each component named after a vertex in ``gone``
-    renamed after its first vertex, or ZERO for an empty frontier, and
-    the names in ``gone`` that no entry carries: the components sealed
-    at this step."""
-    fields = (1 << shift) - 1
-    sealed = []
-    for z in gone:
-        first = None
-        for k, entry in enumerate(entries):
-            if entry >> shift == z:
-                if first is None:
-                    first = vertices[k] << shift
-                entries[k] = first | entry & fields
-        if first is None:
-            sealed.append(z)
-    return tuple(entries) or ZERO, sealed
 
 
 def construct_bdd(

@@ -407,23 +407,32 @@ def order_edges(g: Graph) -> EdgeOrder:
     on a tie.
     """
     root = default_root(g)
-    nbrs = [{} for _ in g.adjacency]  # neighbour -> edge count, loops left out
-    for u, v, _ in g.edges:
+    # sweeps number the vertices with edges (and the root, on a graph with
+    # none) 0, 1, ... by ascending id, so their state grows with those
+    # alone, not with the unused ids that seed unions keep
+    active = [z for z, a in enumerate(g.adjacency) if a or z == root]
+    at = [0] * len(g.adjacency)
+    for j, z in enumerate(active):
+        at[z] = j
+    ends = [(at[u], at[v]) for u, v, _ in g.edges]
+    adj = [g.adjacency[z] for z in active]
+    nbrs = [{} for _ in active]  # neighbour -> edge count, loops left out
+    for u, v in ends:
         if u != v:
             nu, nv = nbrs[u], nbrs[v]
             nu[v] = nu.get(v, 0) + 1
             nv[u] = nv.get(u, 0) + 1
-    perm, last = _greedy_edges(g, root, nbrs)
+    perm, last = _greedy_edges(at[root], adj, ends, nbrs)
     best = (*_score(g, perm), perm)  # (S, width, permutation)
-    spent, swept = len(g.edges), {root}
-    for start in chain((last,), range(1, g.vertex_count + 1)):
-        if start in swept or not g.adjacency[start]:
+    spent, swept = len(g.edges), {at[root]}
+    for start in chain((last,), range(len(active))):
+        if start in swept:
             continue
         spent += len(g.edges)
         if spent > min(best[0], 1 << 14):
             break
         swept.add(start)
-        perm, _ = _greedy_edges(g, start, nbrs)
+        perm, _ = _greedy_edges(start, adj, ends, nbrs)
         scored = _score(g, perm)
         if scored[0] < best[0]:
             best = (*scored, perm)
@@ -434,28 +443,27 @@ def _score(g: Graph, perm) -> tuple[int, int]:
     """S of perm (see ``order_edges``) and its frontier width, by an exact
     running product of the factors 2 and 3.  Both endpoints are written
     out: a loop over them slows the pass, which runs once per sweep."""
-    deg = list(map(len, g.adjacency))
-    done = [0] * len(deg)  # decided edge-ends
-    edges = g.edges
+    adj, edges = g.adjacency, g.edges
+    done = [0] * len(adj)  # decided edge-ends
     product, total, live, width = 1, 0, 0, 0
     for idx in perm:
         u, v, _ = edges[idx]
         d = done[u] = done[u] + 1
         if d == 1:
-            if deg[u] > 1:
+            if len(adj[u]) > 1:
                 product *= 2
                 live += 1
-        elif d == deg[u]:
+        elif d == len(adj[u]):
             product //= 2 if d == 2 else 3
             live -= 1
         elif d == 2:
             product = product // 2 * 3
         d = done[v] = done[v] + 1
         if d == 1:
-            if deg[v] > 1:
+            if len(adj[v]) > 1:
                 product *= 2
                 live += 1
-        elif d == deg[v]:
+        elif d == len(adj[v]):
             product //= 2 if d == 2 else 3
             live -= 1
         elif d == 2:
@@ -467,10 +475,13 @@ def _score(g: Graph, perm) -> tuple[int, int]:
 
 
 def _greedy_edges(
-    g: Graph, start: int, nbrs: list[dict[int, int]]
+    start: int, adj: list, ends: list[tuple[int, int]], nbrs: list[dict[int, int]]
 ) -> tuple[list[int], int]:
     """The edge order of a greedy vertex sweep from start, and the
-    vertex the sweep discovered last.
+    vertex the sweep discovered last.  Vertices are numbered 0, 1, ...:
+    ``adj`` holds each one's incident edge indices, ``ends`` each
+    edge's endpoints and ``nbrs`` each one's neighbours with the number
+    of edges to them.
 
     The sweep places start, then one at a time the unplaced neighbour of
     placed vertices whose placement multiplies the frontier product of
@@ -481,7 +492,7 @@ def _greedy_edges(
     any vertex: an exact integer.  Keys sit in a heap, and a placement
     recomputes only those of the vertex's neighbours and theirs.
     """
-    deg = list(map(len, g.adjacency))
+    deg = list(map(len, adj))
     done = [0] * len(deg)  # decided edge-ends
     fac = [1] * len(deg)  # factor in the frontier product: 1, 2 or 3
     stamp = [-1] * len(deg)  # discovery order, -1 until discovered
@@ -501,7 +512,6 @@ def _greedy_edges(
     heap = [(0, 0, start)]
     stamp[start] = 0
     discovered, last = 1, start
-    edges = g.edges
     perm: list[int] = []
     while heap:
         k, _, w = heappop(heap)
@@ -518,13 +528,13 @@ def _greedy_edges(
                 fac[x] = 1 if d == deg[x] else 2 if d == 1 else 3
                 redo.add(x)
                 redo.update(y for y in nbrs[x] if not placed[y] and stamp[y] >= 0)
-        ends = set()
-        for i in g.adjacency[w]:
-            a, b, _ = edges[i]
+        decided = set()
+        for i in adj[w]:
+            a, b = ends[i]
             x = b if a == w else a
             if x == w or not placed[x]:
-                ends.add((stamp[x], i))
-        perm.extend(i for _, i in sorted(ends))
+                decided.add((stamp[x], i))
+        perm.extend(i for _, i in sorted(decided))
         for y in redo:
             k = key(y)
             if current.get(y) != k:

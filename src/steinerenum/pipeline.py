@@ -58,12 +58,15 @@ class RunConfig(Record):
     def __post_init__(self):
         if self.theta is not None and self.theta_ratio is not None:
             raise ValueError("theta and theta_ratio are mutually exclusive")
-        if not isinstance(self.k, int):
-            raise ValueError("k must be an integer")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.node_cap < 1:
-            raise ValueError("node_cap must be at least 1")
+        for name in ("k", "node_cap"):  # a bool is an int to isinstance
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("theta", "theta_ratio"):
+            if isinstance(getattr(self, name), bool):
+                raise GraphError(f"{name} must be a number, not a bool")
         if self.theta is not None and not self.theta >= 0:
             raise GraphError("theta must be non-negative")
         if self.theta_ratio is not None and not self.theta_ratio >= 0:

@@ -19,6 +19,7 @@ from steinerenum import (
     reduce_bdd,
 )
 from steinerenum.frontier import ONE, ZERO
+from steinerenum.graph import frontiers
 from .conftest import (
     add_hub,
     add_parallel_edge_and_loop,
@@ -56,23 +57,44 @@ def decoded_subsets(bdd):
 class TripleSearch:
     """``FrontierSearch`` with states spelled as tuples of
     ``(representative, component holds a terminal, degree)`` triples,
-    as the reference step and the literals below spell them.  Each
-    state is packed on the way in and every successor unpacked on the
-    way out."""
+    as the reference step and the literals below spell them; a
+    component's representative is its first frontier vertex.  Each
+    state is translated on the way in to the leave-order names the
+    search uses (a component carries the largest rank of its vertices
+    by step of last edge, then vertex id), and every successor is
+    translated back on the way out, using the order's frontiers."""
 
     def __init__(self, g, order):
         self.packed = FrontierSearch(g, order)
         self.steps = self.packed.steps
+        perm = order.permutation
+        # frontiers[i] is F_i, ascending; a state at level i covers F_{i-1}
+        self.frontiers = [()] + [tuple(sorted(f)) for f in frontiers(g, perm)]
+        last = {}
+        for i, idx in enumerate(perm):
+            u, v, _ = g.edges[idx]
+            last[u] = last[v] = i
+        by_leaving = sorted(last, key=lambda z: (last[z], z))
+        self.rank = {z: r for r, z in enumerate(by_leaving)}
 
     def branches(self, state, i, include):
         shift, degree = self.packed.shift, self.packed.degree_mask
-        entries = tuple(rep << shift | d << 1 | t for rep, t, d in state)
-        return tuple(
-            target if target in (ZERO, ONE) else tuple(
-                (e >> shift, bool(e & 1), (e & degree) >> 1) for e in target
+        name = {}  # representative -> component name
+        for z, (rep, _, _) in zip(self.frontiers[i - 1], state):
+            name[rep] = max(name.get(rep, -1), self.rank[z])
+        entries = tuple(name[rep] << shift | d << 1 | t for rep, t, d in state)
+
+        def spelled(target):
+            if target in (ZERO, ONE):
+                return target
+            first = {}  # component name -> first frontier vertex
+            for z, e in zip(self.frontiers[i], target):
+                first.setdefault(e >> shift, z)
+            return tuple(
+                (first[e >> shift], bool(e & 1), (e & degree) >> 1) for e in target
             )
-            for target in self.packed.branches(entries, i, include)
-        )
+
+        return tuple(map(spelled, self.packed.branches(entries, i, include)))
 
 
 def walk_states(search, bits):
@@ -127,8 +149,8 @@ class TestTriangleTrace:
             ((1, True, 1), (1, True, 1)),
         )
         # both stay on the frontier after step 1, so nothing is sealed
-        assert search.steps[1].kept == (1, 2)
-        assert search.steps[1].dropped == ()
+        assert search.frontiers[1] == (1, 2)
+        assert search.steps[1].sealed == ()
 
     def test_first_include_is_not_yet_a_tree(self, setup):
         _, _, search = setup
@@ -325,8 +347,9 @@ class TestMerging:
 
 
 class TestRenaming:
-    """A component named after a vertex that leaves the frontier is
-    renamed after its first remaining vertex, on either branch.
+    """In the first-vertex spelling, a component whose first vertex
+    leaves the frontier is renamed after its first remaining vertex, on
+    either branch; the search's own names do not change.
 
     4-cycle 1-2-3-4 with terminals {1, 3}, ordered (1,2), (1,4), (2,3),
     (3,4): vertex 1 leaves at step 2, when the frontier becomes {2, 4}.
@@ -359,6 +382,45 @@ class TestRenaming:
             ZERO,
             ((2, False, 0), (4, True, 1)),
         )
+
+
+class TestFixedNames:
+    def test_only_endpoint_components_are_rewritten(self):
+        """At every reachable state of every level, exclusion's successor
+        is the state's kept entries, unchanged, and inclusion rewrites
+        only the entries of the two endpoint components: no name changes
+        when a vertex leaves.  On simple graphs, on multigraphs with a
+        parallel edge and a self-loop, and on graphs with a hub."""
+        rng = random.Random(31)
+        for n in range(200):
+            if n >= 170:
+                g = hub_graph(rng)
+            else:
+                g = random_connected_graph(rng, max_vertices=7, max_edges=10)
+                if n % 2:
+                    g = add_parallel_edge_and_loop(g, rng, n % 4 == 1)
+            search = FrontierSearch(g, order_edges(g))
+            shift = search.shift
+            states = [()]
+            for i in range(1, len(g.edges) + 1):
+                step, decide = search.steps[i], search.step(i)
+                nxt = []
+                for state in states:
+                    ext = state + step.fresh
+                    kept = tuple(ext[j] for j in step.keep)
+                    pair = {ext[step.iu] >> shift, ext[step.iv] >> shift}
+                    lo, hi = decide(state, True)
+                    if lo.__class__ is tuple:
+                        assert lo == kept
+                        nxt.append(lo)
+                    if hi.__class__ is tuple:
+                        assert len(hi) == len(kept)
+                        for was, now in zip(kept, hi):
+                            if was >> shift not in pair:
+                                assert now == was
+                        nxt.append(hi)
+                states = list(dict.fromkeys(nxt))
+            assert not states
 
 
 class TestAgainstThreePredicateStep:

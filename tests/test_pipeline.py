@@ -96,6 +96,21 @@ class TestResolveTheta:
         with pytest.raises(ValueError, match="^k must be an integer$"):
             RunConfig(k=2.5)
 
+    @pytest.mark.parametrize(
+        "field, error, message",
+        [
+            ("k", ValueError, "k must be an integer"),
+            ("node_cap", ValueError, "node_cap must be an integer"),
+            ("theta", GraphError, "theta must be a number, not a bool"),
+            ("theta_ratio", GraphError, "theta_ratio must be a number, not a bool"),
+        ],
+    )
+    def test_bool_is_a_config_error(self, field, error, message):
+        # True is an int equal to 1: it once wrote one tree, bounded by 1
+        # or failed with "node cap True exceeded"
+        with pytest.raises(error, match=f"^{message}$"):
+            RunConfig(**{field: True})
+
     def test_replace_checks_the_bound(self):
         cfg = RunConfig()._replace(theta=Fraction(1))
         assert cfg.theta == 1 and cfg.seeds == RunConfig().seeds
