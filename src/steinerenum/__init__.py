@@ -21,14 +21,13 @@ from .graph import (
     ParseError,
     SimplificationMap,
     SteinerTree,
-    bfs_order,
     expand_tree,
     order_edges,
     parse_stp,
     simplify,
     write_stp,
 )
-from .oracle import OracleError, brute_force_minimal_steiner, count_simple_paths
+from .oracle import OracleError, brute_force_minimal_steiner
 from .pipeline import RunConfig, RunResult, resolve_theta, run
 from .seeds import (
     SeedConfig,
@@ -66,10 +65,8 @@ __all__ = [
     "SimplificationMap",
     "SteinerTree",
     "TraversalError",
-    "bfs_order",
     "brute_force_minimal_steiner",
     "construct_bdd",
-    "count_simple_paths",
     "count_trees",
     "enumerate_trees",
     "expand_tree",

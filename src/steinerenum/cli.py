@@ -58,13 +58,10 @@ EXIT_NODE_CAP = 5
 EXIT_TRUNCATED = 6
 
 
-def _tree_line(tree: SteinerTree, g: Graph, texts: dict[int, str] | None = None) -> str:
+def _tree_line(tree: SteinerTree, texts: dict[int, str]) -> str:
     """The tree as one JSON object, ``{"cost": c, "edges": [[u, v], ...]}``
     with edges ascending by index, written out without the json module.
-    ``texts`` holds the ``[u, v]`` text of each edge (``_edge_texts``);
-    without it the tree's own edges are formatted."""
-    if texts is None:
-        texts = _edge_texts(g, tree.edges)
+    ``texts`` holds the ``[u, v]`` text of each edge (``_edge_texts``)."""
     pairs = ", ".join(map(texts.__getitem__, tree.sorted_edges()))
     return f'{{"cost": {tree.cost}, "edges": [{pairs}]}}'
 
@@ -78,7 +75,7 @@ def _emit_trees(trees, g: Graph, out: TextIOBase):
     """Write one line per tree, formatting each edge that the trees use
     once rather than once per tree."""
     texts = _edge_texts(g, set().union(*(t.edges for t in trees)))
-    out.write("".join(_tree_line(t, g, texts) + "\n" for t in trees))
+    out.write("".join(_tree_line(t, texts) + "\n" for t in trees))
 
 
 def _write_report(out: TextIOBase, res: RunResult):

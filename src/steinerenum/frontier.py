@@ -108,7 +108,7 @@ _Step = namedtuple("_Step", (
 
 
 class FrontierSearch:
-    """The frontier step, shared by construction and the unit tests.
+    """The frontier step that ``construct_bdd`` applies level by level.
 
     A state is the immutable tuple stored for a node at level i: one
     entry per vertex of the frontier F_{i-1} in ascending vertex order.
@@ -166,13 +166,6 @@ class FrontierSearch:
                 all_seen=not unseen,
             ))
             before = kept
-
-    def branches(self, state: tuple, i: int, include: bool) -> tuple:
-        """``step(i)(state, include)``: the public entry for deciding a
-        single state.  It plans level i on every call, so a loop over a
-        level's states should fetch ``step(i)`` once, as
-        ``construct_bdd`` does."""
-        return self.step(i)(state, include)
 
     def step(self, i: int):
         """Edge i's decision ``(state, include) -> (lo, hi)``, each target

@@ -9,7 +9,6 @@ the map needed to expand trees back onto the original edge set.
 from __future__ import annotations
 
 from fractions import Fraction
-from collections import deque
 from heapq import heappop, heappush
 from itertools import chain
 import math
@@ -376,8 +375,7 @@ class EdgeOrder(Record):
     vertices incident to both processed and unprocessed edges.  The
     frontiers follow from the order and the graph (``frontiers``), so one
     order serves any graph with these edges.  ``order_edges`` picks among
-    greedy vertex sweeps by a score S, not by width; ``bfs_order`` gives
-    the breadth-first order from a chosen vertex.
+    greedy vertex sweeps by a score S, not by width.
     """
 
     permutation: tuple[int, ...]
@@ -541,49 +539,6 @@ def _greedy_edges(
                 current[y] = k
                 heappush(heap, (k, stamp[y], y))
     return perm, last
-
-
-def bfs_order(g: Graph, start: int | None = None) -> EdgeOrder:
-    """Breadth-first edge order from a start vertex.
-
-    The default start is ``default_root(g)``; incident edges are visited
-    smallest-neighbor first, then by edge index.  Keeping the traversal
-    breadth-first from one vertex keeps the frontier narrow on
-    mesh-like instances.
-    """
-    if start is None:
-        start = default_root(g)
-    elif not 1 <= start <= g.vertex_count:
-        raise GraphError(f"start vertex {start} out of range")
-    elif g.edges and not g.adjacency[start]:
-        raise GraphError(f"start vertex {start} has no edges")
-    perm = _bfs_edges(g, start)
-    return EdgeOrder(tuple(perm), _score(g, perm)[1])
-
-
-def _bfs_edges(g: Graph, start: int) -> list[int]:
-    seen_edge = [False] * len(g.edges)
-    seen_vertex = [False] * (g.vertex_count + 1)
-    seen_vertex[start] = True
-    queue = deque([start])
-    perm: list[int] = []
-    while queue:
-        u = queue.popleft()
-        incident = sorted(
-            set(g.adjacency[u]), key=lambda i: (g.other_end(i, u), i)
-        )
-        for idx in incident:
-            if seen_edge[idx]:
-                continue
-            seen_edge[idx] = True
-            perm.append(idx)
-            w = g.other_end(idx, u)
-            if not seen_vertex[w]:
-                seen_vertex[w] = True
-                queue.append(w)
-    if len(perm) != len(g.edges):
-        raise GraphError("edge order did not reach every edge; graph disconnected")
-    return perm
 
 
 def frontiers(g: Graph, perm):

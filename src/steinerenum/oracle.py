@@ -10,23 +10,26 @@ from __future__ import annotations
 from .graph import Graph, SteinerTree
 
 
+MAX_EDGES = 24
+
+
 class OracleError(ValueError):
     pass
 
 
 def brute_force_minimal_steiner(
-    g: Graph, theta: int | None = None, max_edges: int = 24
+    g: Graph, theta: int | None = None
 ) -> tuple[SteinerTree, ...]:
     """Every minimal Steiner tree of cost <= theta, by 2^|E| subset sweep.
 
     A subset qualifies when it is acyclic, puts all terminals in one
     component, and has no non-terminal leaf.  Results come back sorted by
-    (cost, edge indices).  Guarded to max_edges because the sweep is
-    exponential.
+    (cost, edge indices).  Guarded to MAX_EDGES edges because the sweep
+    is exponential.
     """
     m = len(g.edges)
-    if m > max_edges:
-        raise OracleError(f"{m} edges exceeds the brute-force guard ({max_edges})")
+    if m > MAX_EDGES:
+        raise OracleError(f"{m} edges exceeds the brute-force guard ({MAX_EDGES})")
     terms = sorted(g.terminals)
     if len(terms) < 2:
         raise OracleError("need at least two terminals")
@@ -71,28 +74,3 @@ def brute_force_minimal_steiner(
 
     found.sort(key=lambda rec: (rec[0], rec[1]))
     return tuple(SteinerTree(fs, c) for c, _, fs in found)
-
-
-def count_simple_paths(g: Graph, s: int, t: int) -> int:
-    """Number of simple s-t paths, counting parallel edges separately."""
-    if s == t:
-        raise OracleError("endpoints must differ")
-    on_path = [False] * (g.vertex_count + 1)
-    on_path[s] = True
-    adj = g.adjacency
-    edges = g.edges
-
-    def walk(u: int) -> int:
-        if u == t:
-            return 1
-        total = 0
-        for idx in adj[u]:
-            eu, ev, _ = edges[idx]
-            w = ev if eu == u else eu
-            if not on_path[w]:
-                on_path[w] = True
-                total += walk(w)
-                on_path[w] = False
-        return total
-
-    return walk(s)

@@ -64,6 +64,9 @@ class RunConfig(Record):
                 raise ValueError(f"{name} must be an integer")
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
+        root = self.seed_root
+        if root is not None and (isinstance(root, bool) or not isinstance(root, int)):
+            raise ValueError("seed_root must be an integer")
         for name in ("theta", "theta_ratio"):
             if isinstance(getattr(self, name), bool):
                 raise GraphError(f"{name} must be a number, not a bool")

@@ -32,6 +32,12 @@ class SeedConfig(Record):
     max_retries: int = 50
 
     def __post_init__(self):
+        for name in ("num_seeds", "rng_seed", "max_retries"):
+            value = getattr(self, name)  # a bool is an int to isinstance
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
         if self.num_seeds < 1:
             raise ValueError("num_seeds must be at least 1")
         if not 0 <= self.perturb_fraction < 1:

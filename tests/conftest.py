@@ -6,11 +6,13 @@ the brute-force oracle sweeps 2^|E| edge subsets.
 """
 
 import random
+from collections import deque
 
 import pytest
 
 from perfbench.instances import grid
-from steinerenum import Graph
+from steinerenum import EdgeOrder, Graph, GraphError, OracleError
+from steinerenum.graph import _score, default_root
 
 _summary_lines: list[str] = []
 
@@ -108,6 +110,74 @@ def grid_graph(rows: int, cols: int, terminals, weight_seed: int = 7) -> Graph:
     inst = grid(rows, cols, random.Random(weight_seed))
     edges = tuple((u, v, int(w)) for u, v, w in inst.edges)
     return Graph(inst.vertex_count, edges, frozenset(terminals))
+
+
+def bfs_order(g: Graph, start: int | None = None) -> EdgeOrder:
+    """Breadth-first edge order from a start vertex.
+
+    The default start is ``default_root(g)``; incident edges are visited
+    smallest-neighbor first, then by edge index.  Keeping the traversal
+    breadth-first from one vertex keeps the frontier narrow on
+    mesh-like instances.
+    """
+    if start is None:
+        start = default_root(g)
+    elif not 1 <= start <= g.vertex_count:
+        raise GraphError(f"start vertex {start} out of range")
+    elif g.edges and not g.adjacency[start]:
+        raise GraphError(f"start vertex {start} has no edges")
+    perm = _bfs_edges(g, start)
+    return EdgeOrder(tuple(perm), _score(g, perm)[1])
+
+
+def _bfs_edges(g: Graph, start: int) -> list[int]:
+    seen_edge = [False] * len(g.edges)
+    seen_vertex = [False] * (g.vertex_count + 1)
+    seen_vertex[start] = True
+    queue = deque([start])
+    perm: list[int] = []
+    while queue:
+        u = queue.popleft()
+        incident = sorted(
+            set(g.adjacency[u]), key=lambda i: (g.other_end(i, u), i)
+        )
+        for idx in incident:
+            if seen_edge[idx]:
+                continue
+            seen_edge[idx] = True
+            perm.append(idx)
+            w = g.other_end(idx, u)
+            if not seen_vertex[w]:
+                seen_vertex[w] = True
+                queue.append(w)
+    if len(perm) != len(g.edges):
+        raise GraphError("edge order did not reach every edge; graph disconnected")
+    return perm
+
+
+def count_simple_paths(g: Graph, s: int, t: int) -> int:
+    """Number of simple s-t paths, counting parallel edges separately."""
+    if s == t:
+        raise OracleError("endpoints must differ")
+    on_path = [False] * (g.vertex_count + 1)
+    on_path[s] = True
+    adj = g.adjacency
+    edges = g.edges
+
+    def walk(u: int) -> int:
+        if u == t:
+            return 1
+        total = 0
+        for idx in adj[u]:
+            eu, ev, _ = edges[idx]
+            w = ev if eu == u else eu
+            if not on_path[w]:
+                on_path[w] = True
+                total += walk(w)
+                on_path[w] = False
+        return total
+
+    return walk(s)
 
 
 @pytest.fixture

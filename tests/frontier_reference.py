@@ -1,6 +1,6 @@
 """Test-only reference: the three-predicate frontier step.
 
-This is the construction that ``FrontierSearch.branches`` replaced, kept
+This is the construction that ``FrontierSearch.step`` replaced, kept
 verbatim (``is_one_sink``, ``is_zero_sink`` and ``generate`` called per
 branch) so the differential test in ``test_frontier.py`` can require
 byte-identical diagrams from the fused step.

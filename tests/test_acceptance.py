@@ -26,7 +26,6 @@ from steinerenum import (
     SteinerTree,
     brute_force_minimal_steiner,
     construct_bdd,
-    count_simple_paths,
     count_trees,
     enumerate_trees,
     expand_tree,
@@ -39,6 +38,7 @@ from steinerenum import (
 )
 from steinerenum.frontier import ONE, ZERO
 from .conftest import (
+    count_simple_paths,
     grid_graph,
     random_connected_graph,
     record_line,
@@ -341,7 +341,7 @@ def test_criterion_09_alue2087():
 
 def test_criterion_10_determinism(tmp_path):
     rng = random.Random(424242)
-    from steinerenum.cli import _tree_line
+    from steinerenum.cli import _edge_texts, _tree_line
 
     mismatch = 0
     for _ in range(20):
@@ -352,7 +352,9 @@ def test_criterion_10_determinism(tmp_path):
         lines = []
         for _ in range(2):
             res = run(g, cfg)
-            lines.append("".join(_tree_line(t, g) + "\n" for t in res.trees))
+            lines.append(
+                "".join(_tree_line(t, _edge_texts(g, t.edges)) + "\n" for t in res.trees)
+            )
         if lines[0] != lines[1]:
             mismatch += 1
 

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from steinerenum import SteinerTree, bfs_order, cli, parse_stp, pipeline, simplify, write_stp
+from steinerenum import SteinerTree, cli, parse_stp, pipeline, simplify, write_stp
 from steinerenum.oracle import brute_force_minimal_steiner
 from .conftest import (
     TRIANGLE_STP,
+    bfs_order,
     grid_graph,
     random_connected_graph,
     subdivide_edge,
@@ -692,7 +693,7 @@ def test_tree_lines_match_json():
             tree = SteinerTree(edges, cost)
             pairs = [[g.edges[i][0], g.edges[i][1]] for i in sorted(edges)]
             want = json.dumps({"cost": cost, "edges": pairs}, separators=(", ", ": "))
-            assert cli._tree_line(tree, g) == want, (case, edges, cost)
+            assert cli._tree_line(tree, cli._edge_texts(g, tree.edges)) == want, (case, edges, cost)
             cases += 1
     assert cases == 480
 

@@ -12,7 +12,6 @@ from steinerenum import (
     GraphError,
     FrontierSearch,
     NodeCapExceeded,
-    bfs_order,
     construct_bdd,
     enumerate_trees,
     order_edges,
@@ -23,6 +22,7 @@ from steinerenum.graph import frontiers
 from .conftest import (
     add_hub,
     add_parallel_edge_and_loop,
+    bfs_order,
     grid_graph,
     random_connected_graph,
     subdivide_edge,
@@ -77,12 +77,9 @@ class TripleSearch:
         by_leaving = sorted(last, key=lambda z: (last[z], z))
         self.rank = {z: r for r, z in enumerate(by_leaving)}
 
-    def branches(self, state, i, include):
+    def step(self, i):
         shift, degree = self.packed.shift, self.packed.degree_mask
-        name = {}  # representative -> component name
-        for z, (rep, _, _) in zip(self.frontiers[i - 1], state):
-            name[rep] = max(name.get(rep, -1), self.rank[z])
-        entries = tuple(name[rep] << shift | d << 1 | t for rep, t, d in state)
+        decide = self.packed.step(i)
 
         def spelled(target):
             if target in (ZERO, ONE):
@@ -94,7 +91,14 @@ class TripleSearch:
                 (first[e >> shift], bool(e & 1), (e & degree) >> 1) for e in target
             )
 
-        return tuple(map(spelled, self.packed.branches(entries, i, include)))
+        def triple_step(state, include):
+            name = {}  # representative -> component name
+            for z, (rep, _, _) in zip(self.frontiers[i - 1], state):
+                name[rep] = max(name.get(rep, -1), self.rank[z])
+            entries = tuple(name[rep] << shift | d << 1 | t for rep, t, d in state)
+            return tuple(map(spelled, decide(entries, include)))
+
+        return triple_step
 
 
 def walk_states(search, bits):
@@ -102,7 +106,7 @@ def walk_states(search, bits):
     decision on the way reaches a sink."""
     state = ()
     for i, x in enumerate(bits, 1):
-        state = search.branches(state, i, True)[x]
+        state = search.step(i)(state, True)[x]
         assert state not in (ZERO, ONE)
     return state
 
@@ -144,7 +148,7 @@ class TestTriangleTrace:
     def test_first_step_states(self, setup):
         _, _, search = setup
         # both endpoints enter as singletons; only vertex 1 is a terminal
-        assert search.branches((), 1, True) == (
+        assert search.step(1)((), True) == (
             ((1, True, 0), (2, False, 0)),
             ((1, True, 1), (1, True, 1)),
         )
@@ -154,40 +158,40 @@ class TestTriangleTrace:
 
     def test_first_include_is_not_yet_a_tree(self, setup):
         _, _, search = setup
-        for target in search.branches((), 1, True):
+        for target in search.step(1)((), True):
             assert target not in (ZERO, ONE)
 
     def test_direct_edge_completes_after_skip(self, setup):
         # skip e0, then include e2: both endpoints are terminals; skipping
         # e2 as well strands terminal 1 (its last edge end)
         _, _, search = setup
-        s1 = search.branches((), 1, True)[0]
-        assert search.branches(s1, 2, True) == (ZERO, ONE)
+        s1 = search.step(1)((), True)[0]
+        assert search.step(2)(s1, True) == (ZERO, ONE)
         # an inclusion pruned by the cost bound is not decided at all
-        assert search.branches(s1, 2, False) == (ZERO, ZERO)
+        assert search.step(2)(s1, False) == (ZERO, ZERO)
 
     def test_nonterminal_leaf_blocks_completion(self, setup):
         # include e0, then include e2: terminals connect but vertex 2
         # would be a degree-1 non-terminal, so this is not a 1-sink
         _, _, search = setup
-        s1 = search.branches((), 1, True)[1]
+        s1 = search.step(1)((), True)[1]
         assert s1 == ((1, True, 1), (1, True, 1))
         assert search.steps[2].all_seen  # terminal 3 enters at step 2
-        assert search.branches(s1, 2, True)[1] not in (ZERO, ONE)
+        assert search.step(2)(s1, True)[1] not in (ZERO, ONE)
 
     def test_sealed_partial_component_dies(self, setup):
         # after e0 and e2, excluding e1 seals a component that holds
         # both terminals but cannot shed its non-terminal leaf (no
         # undecided edge-end left); including e1 closes a cycle
         _, _, search = setup
-        s2 = search.branches(search.branches((), 1, True)[1], 2, True)[1]
+        s2 = search.step(2)(search.step(1)((), True)[1], True)[1]
         assert s2 == ((2, True, 1), (2, True, 1))
-        assert search.branches(s2, 3, True) == (ZERO, ZERO)
+        assert search.step(3)(s2, True) == (ZERO, ZERO)
 
     def test_chain_completes_at_last_edge(self, setup):
         _, _, search = setup
-        s2 = search.branches(search.branches((), 1, True)[1], 2, True)[0]
-        assert search.branches(s2, 3, True) == (ZERO, ONE)
+        s2 = search.step(2)(search.step(1)((), True)[1], True)[0]
+        assert search.step(3)(s2, True) == (ZERO, ONE)
 
     def test_constructed_structure(self, triangle):
         order = order_edges(triangle)
@@ -237,7 +241,7 @@ class TestSinkRules:
         path = walk_states(search, (1, 1))
         assert path == ((3, False, 1), (3, False, 1))
         assert search.steps[3].all_seen
-        assert search.branches(path, 3, True)[1] == (
+        assert search.step(3)(path, True)[1] == (
             (1, True, 1), (1, True, 1), (3, False, 1), (3, False, 1)
         )
         bdd = construct_bdd(g, order)
@@ -366,9 +370,9 @@ class TestRenaming:
 
     def test_renamed_on_both_branches(self, search):
         # with (1,2) taken, 1 names the component {1, 2}
-        s1 = search.branches((), 1, True)[1]
+        s1 = search.step(1)((), True)[1]
         assert s1 == ((1, True, 1), (1, True, 1))
-        assert search.branches(s1, 2, True) == (
+        assert search.step(2)(s1, True) == (
             ((2, True, 1), (4, False, 0)),
             ((2, True, 1), (2, True, 1)),
         )
@@ -376,9 +380,9 @@ class TestRenaming:
     def test_merged_component_renamed_on_inclusion(self, search):
         # with (1,2) skipped, taking (1,4) joins {1} and {4} under 1,
         # which then leaves; skipping it strands terminal 1
-        s1 = search.branches((), 1, True)[0]
+        s1 = search.step(1)((), True)[0]
         assert s1 == ((1, True, 0), (2, False, 0))
-        assert search.branches(s1, 2, True) == (
+        assert search.step(2)(s1, True) == (
             ZERO,
             ((2, False, 0), (4, True, 1)),
         )
@@ -466,7 +470,7 @@ class TestAgainstThreePredicateStep:
             for i in range(1, len(order.permutation) + 1):
                 nxt = []
                 for state in states:
-                    got = search.branches(state, i, True)
+                    got = search.step(i)(state, True)
                     for x, target in enumerate(got):
                         if ref.is_one_sink(state, i, x):
                             assert target == ONE
@@ -477,7 +481,7 @@ class TestAgainstThreePredicateStep:
                             assert target == (want or ZERO)
                             if want:
                                 nxt.append(want)
-                    assert search.branches(state, i, False) == (got[0], ZERO)
+                    assert search.step(i)(state, False) == (got[0], ZERO)
                 states = list(dict.fromkeys(nxt))
 
 

@@ -16,7 +16,6 @@ from steinerenum import (
     SeedConfig,
     SimplificationMap,
     SteinerTree,
-    bfs_order,
     construct_bdd,
     count_trees,
     expand_tree,
@@ -34,6 +33,7 @@ from .stp_reference import reference_parse_stp
 from .conftest import (
     TRIANGLE_STP,
     add_parallel_edge_and_loop,
+    bfs_order,
     grid_graph,
     random_connected_graph,
     subdivide_edge,

@@ -6,8 +6,8 @@ from steinerenum import (
     Graph,
     OracleError,
     brute_force_minimal_steiner,
-    count_simple_paths,
 )
+from .conftest import count_simple_paths
 
 
 def as_pairs(trees):

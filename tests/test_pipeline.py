@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import steinerenum
 from steinerenum import (
     Graph,
     GraphError,
@@ -110,6 +111,17 @@ class TestResolveTheta:
         # or failed with "node cap True exceeded"
         with pytest.raises(error, match=f"^{message}$"):
             RunConfig(**{field: True})
+
+    @pytest.mark.parametrize("root", [True, 1.0, "1"])
+    def test_non_integer_seed_root_is_a_config_error(self, root):
+        # True is in frozenset({1, 3}): it once ran with root 1, and 1.0
+        # failed inside the seed search with a TypeError
+        with pytest.raises(ValueError, match="^seed_root must be an integer$"):
+            RunConfig(seed_root=root)
+
+    def test_integer_seed_root_runs(self, triangle):
+        assert run(triangle, RunConfig(seed_root=3)).trees
+        assert RunConfig().seed_root is None
 
     def test_replace_checks_the_bound(self):
         cfg = RunConfig()._replace(theta=Fraction(1))
@@ -246,3 +258,44 @@ class TestIdentityExpansion:
         calls = self.count_expansions(monkeypatch)
         assert run(g, cfg).trees == want
         assert len(calls) == len(want) > 0
+
+
+def test_public_api():
+    """Exports change only on purpose: each addition or removal edits
+    this list."""
+    assert steinerenum.__all__ == [
+        "Bdd",
+        "ConstructionError",
+        "EdgeOrder",
+        "EnumerationResult",
+        "FrontierSearch",
+        "Graph",
+        "GraphError",
+        "NodeCapExceeded",
+        "OracleError",
+        "ParseError",
+        "RunConfig",
+        "RunResult",
+        "SeedConfig",
+        "SeedSelection",
+        "SimplificationMap",
+        "SteinerTree",
+        "TraversalError",
+        "brute_force_minimal_steiner",
+        "construct_bdd",
+        "count_trees",
+        "enumerate_trees",
+        "expand_tree",
+        "order_edges",
+        "parse_stp",
+        "reduce_bdd",
+        "resolve_theta",
+        "run",
+        "select_seeds",
+        "simplify",
+        "tosp_tree",
+        "union_subgraph",
+        "validate_tree",
+        "write_stp",
+    ]
+    assert all(hasattr(steinerenum, name) for name in steinerenum.__all__)

@@ -407,6 +407,28 @@ class TestSelectSeeds:
         with pytest.raises(ValueError):
             SeedConfig(perturb_fraction=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_seeds", True, "num_seeds must be an integer"),
+            ("num_seeds", 2.5, "num_seeds must be an integer"),
+            ("rng_seed", True, "rng_seed must be an integer"),
+            ("rng_seed", 1.0, "rng_seed must be an integer"),
+            ("max_retries", False, "max_retries must be an integer"),
+            ("max_retries", 5.0, "max_retries must be an integer"),
+            ("max_retries", -1, "max_retries must be non-negative"),
+        ],
+    )
+    def test_non_integer_knobs_are_config_errors(self, field, value, message):
+        # True once ran as one seed; 2.5 seeds failed later, in
+        # select_seeds, with a TypeError; -1 retries was taken silently
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SeedConfig(**{field: value})
+
+    def test_zero_retries_and_negative_rng_seed_run(self, triangle):
+        sel = select_seeds(triangle, SeedConfig(rng_seed=-3, max_retries=0))
+        assert sel.seed_trees
+
 
 class TestUnionSubgraph:
     def test_identity_when_all_edges(self, triangle):

@@ -8,7 +8,6 @@ from steinerenum import (
     Graph,
     SteinerTree,
     TraversalError,
-    bfs_order,
     brute_force_minimal_steiner,
     construct_bdd,
     count_trees,
@@ -19,7 +18,7 @@ from steinerenum import (
 )
 from steinerenum.frontier import ONE, ZERO
 from steinerenum.traverse import EntryBudgetExceeded
-from .conftest import grid_graph, random_connected_graph, subdivide_edge
+from .conftest import bfs_order, grid_graph, random_connected_graph, subdivide_edge
 
 
 def build(g, theta=None):
