@@ -20,7 +20,7 @@ from array import array
 from collections import namedtuple
 from operator import itemgetter
 
-from .graph import Graph, GraphError, EdgeOrder, Record, frontiers
+from .graph import Graph, GraphError, EdgeOrder, Record
 
 ZERO = 0  # sink ids double as arc-target encoding and dump tokens
 ONE = 1
@@ -124,8 +124,9 @@ class FrontierSearch:
     triples.  Exact terminal counts and the path cost are not stored:
     the first follows from the tuple and the level, and the cost is the
     caller's concern.  ``step(i)`` decides edge i for a state, both
-    ways, in a single pass.  The steps follow from one walk of the
-    frontier over ``g``; the order must permute its edge indices.
+    ways, in a single pass.  The steps follow from each vertex's last
+    step: a vertex stays on the frontier while that step is later than
+    the current one.  The order must permute ``g``'s edge indices.
     """
 
     def __init__(self, g: Graph, order: EdgeOrder):
@@ -146,14 +147,14 @@ class FrontierSearch:
         unseen = set(terms)
         self.steps: list[_Step | None] = [None]
         before: tuple[int, ...] = ()  # F_{i-1}, ascending
-        for idx, live in zip(perm, frontiers(g, perm)):
+        for i, idx in enumerate(perm):
             u, v, c = g.edges[idx]
             entering = [z for z in dict.fromkeys((u, v)) if z not in before]
             unseen.difference_update((u, v))
             vertices = before + tuple(entering)
             at = {z: j for j, z in enumerate(vertices)}
-            kept = tuple(sorted(live))
-            leaving = [z for z in vertices if z not in live]
+            kept = tuple(sorted(z for z in vertices if last[z] > i))
+            leaving = [z for z in vertices if last[z] == i]
             self.steps.append(_Step(
                 cost=c,
                 fresh=tuple(name[z] << shift | (z in terms) for z in entering),

@@ -373,8 +373,8 @@ class EdgeOrder(Record):
     ``permutation[i-1]`` is the original edge index processed at step i,
     and ``frontier_width`` is the largest frontier over the steps: the
     vertices incident to both processed and unprocessed edges.  The
-    frontiers follow from the order and the graph (``frontiers``), so one
-    order serves any graph with these edges.  ``order_edges`` picks among
+    frontiers follow from the order and the graph, so one order serves
+    any graph with these edges.  ``order_edges`` picks among
     greedy vertex sweeps by a score S, not by width.
     """
 
@@ -398,11 +398,12 @@ def order_edges(g: Graph) -> EdgeOrder:
     counts twice); unlike the width, it follows the constructed node
     count.  Sweeps start from ``default_root(g)``, then from the vertex
     that sweep discovers last, then from every other vertex with edges
-    by ascending id.  The root's sweep always runs.  A sweep costs m
-    edge steps, and no later one starts that would take the steps spent
-    on sweeps past min(best S so far, 2^14), so the search costs no more
-    than the diagram it predicts.  The lowest S wins, the earlier sweep
-    on a tie.
+    by ascending id.  The root's sweep always runs.  A sweep is charged
+    m edge steps, and no later one starts that would take the steps
+    spent on sweeps past min(best S so far, 2^14), so the search costs
+    no more than the diagram it predicts.  Each sweep scores itself as
+    it goes, and a later one stops once its running S reaches the best
+    so far: the lowest S wins, the earlier sweep on a tie.
     """
     root = default_root(g)
     # sweeps number the vertices with edges (and the root, on a graph with
@@ -420,75 +421,45 @@ def order_edges(g: Graph) -> EdgeOrder:
             nu, nv = nbrs[u], nbrs[v]
             nu[v] = nu.get(v, 0) + 1
             nv[u] = nv.get(u, 0) + 1
-    perm, last = _greedy_edges(at[root], adj, ends, nbrs)
-    best = (*_score(g, perm), perm)  # (S, width, permutation)
+    perm, last, score, width = _greedy_edges(at[root], adj, ends, nbrs, math.inf)
     spent, swept = len(g.edges), {at[root]}
     for start in chain((last,), range(len(active))):
         if start in swept:
             continue
         spent += len(g.edges)
-        if spent > min(best[0], 1 << 14):
+        if spent > min(score, 1 << 14):
             break
         swept.add(start)
-        perm, _ = _greedy_edges(start, adj, ends, nbrs)
-        scored = _score(g, perm)
-        if scored[0] < best[0]:
-            best = (*scored, perm)
-    return EdgeOrder(tuple(best[2]), best[1])
-
-
-def _score(g: Graph, perm) -> tuple[int, int]:
-    """S of perm (see ``order_edges``) and its frontier width, by an exact
-    running product of the factors 2 and 3.  Both endpoints are written
-    out: a loop over them slows the pass, which runs once per sweep."""
-    adj, edges = g.adjacency, g.edges
-    done = [0] * len(adj)  # decided edge-ends
-    product, total, live, width = 1, 0, 0, 0
-    for idx in perm:
-        u, v, _ = edges[idx]
-        d = done[u] = done[u] + 1
-        if d == 1:
-            if len(adj[u]) > 1:
-                product *= 2
-                live += 1
-        elif d == len(adj[u]):
-            product //= 2 if d == 2 else 3
-            live -= 1
-        elif d == 2:
-            product = product // 2 * 3
-        d = done[v] = done[v] + 1
-        if d == 1:
-            if len(adj[v]) > 1:
-                product *= 2
-                live += 1
-        elif d == len(adj[v]):
-            product //= 2 if d == 2 else 3
-            live -= 1
-        elif d == 2:
-            product = product // 2 * 3
-        total += product
-        if live > width:
-            width = live
-    return total, width
+        sweep = _greedy_edges(start, adj, ends, nbrs, score)
+        if sweep:
+            perm, _, score, width = sweep
+    return EdgeOrder(tuple(perm), width)
 
 
 def _greedy_edges(
-    start: int, adj: list, ends: list[tuple[int, int]], nbrs: list[dict[int, int]]
-) -> tuple[list[int], int]:
-    """The edge order of a greedy vertex sweep from start, and the
-    vertex the sweep discovered last.  Vertices are numbered 0, 1, ...:
-    ``adj`` holds each one's incident edge indices, ``ends`` each
-    edge's endpoints and ``nbrs`` each one's neighbours with the number
-    of edges to them.
+    start: int,
+    adj: list,
+    ends: list[tuple[int, int]],
+    nbrs: list[dict[int, int]],
+    bound: float,
+) -> tuple[list[int], int, int, int] | None:
+    """The greedy vertex sweep from start: its edge order, the vertex it
+    discovered last, and the order's S (see ``order_edges``) and
+    frontier width; None once the running S reaches bound.  Vertices
+    are numbered 0, 1, ...: ``adj`` holds each one's incident edge
+    indices, ``ends`` each edge's endpoints and ``nbrs`` each one's
+    neighbours with the number of edges to them.
 
     The sweep places start, then one at a time the unplaced neighbour of
-    placed vertices whose placement multiplies the frontier product of
-    ``_score`` least, ties to the one discovered first.  Placing a vertex
-    decides its loops and its edges to unplaced vertices, by when their
-    far ends were discovered, then by edge index.  A key is that factor,
-    2^a 3^b with a, b >= -(K+1), times 6^(K+1), K the most neighbours of
-    any vertex: an exact integer.  Keys sit in a heap, and a placement
-    recomputes only those of the vertex's neighbours and theirs.
+    placed vertices whose placement multiplies the frontier product
+    least, ties to the one discovered first.  Placing a vertex decides
+    its loops and its edges to unplaced vertices, by when their far ends
+    were discovered, then by edge index; each decided edge-end updates
+    its vertex's factor in the product and the running S and width.  A
+    key is that multiplier, 2^a 3^b with a, b >= -(K+1), times 6^(K+1),
+    K the most neighbours of any vertex: an exact integer.  Keys sit in
+    a heap, and a placement recomputes only those of the vertex's
+    neighbours and theirs.
     """
     deg = list(map(len, adj))
     done = [0] * len(deg)  # decided edge-ends
@@ -511,19 +482,17 @@ def _greedy_edges(
     stamp[start] = 0
     discovered, last = 1, start
     perm: list[int] = []
+    product, total, live, width = 1, 0, 0, 0
     while heap:
         k, _, w = heappop(heap)
         if placed[w] or current[w] != k:
             continue
         placed[w] = True
-        done[w], fac[w] = deg[w], 1
         redo = set()
-        for x, c in nbrs[w].items():  # by first edge to x, as found
+        for x in nbrs[w]:  # by first edge to x, as found
             if not placed[x]:
                 if stamp[x] < 0:
                     stamp[x], discovered, last = discovered, discovered + 1, x
-                d = done[x] = done[x] + c
-                fac[x] = 1 if d == deg[x] else 2 if d == 1 else 3
                 redo.add(x)
                 redo.update(y for y in nbrs[x] if not placed[y] and stamp[y] >= 0)
         decided = set()
@@ -532,30 +501,32 @@ def _greedy_edges(
             x = b if a == w else a
             if x == w or not placed[x]:
                 decided.add((stamp[x], i))
-        perm.extend(i for _, i in sorted(decided))
+        for _, i in sorted(decided):
+            perm.append(i)
+            for z in ends[i]:
+                d = done[z] = done[z] + 1
+                if d == deg[z]:
+                    product //= fac[z]
+                    live -= fac[z] > 1
+                    fac[z] = 1
+                elif d == 1:
+                    product *= 2
+                    live += 1
+                    fac[z] = 2
+                elif d == 2:
+                    product = product // 2 * 3
+                    fac[z] = 3
+            total += product
+            if live > width:
+                width = live
+        if total >= bound:
+            return None
         for y in redo:
             k = key(y)
             if current.get(y) != k:
                 current[y] = k
                 heappush(heap, (k, stamp[y], y))
-    return perm, last
-
-
-def frontiers(g: Graph, perm):
-    """The frontier after each step of perm, as one set updated in place:
-    a vertex is on it from its first edge until its last."""
-    undecided = [len(a) for a in g.adjacency]
-    live: set[int] = set()
-    for idx in perm:
-        u, v, _ = g.edges[idx]
-        undecided[u] -= 1
-        undecided[v] -= 1
-        for z in (u, v):
-            if undecided[z]:
-                live.add(z)
-            else:
-                live.discard(z)
-        yield live
+    return perm, last, total, width
 
 
 # ---------------------------------------------------------------------------

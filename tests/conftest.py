@@ -12,7 +12,7 @@ import pytest
 
 from perfbench.instances import grid
 from steinerenum import EdgeOrder, Graph, GraphError, OracleError
-from steinerenum.graph import _score, default_root
+from steinerenum.graph import default_root
 
 _summary_lines: list[str] = []
 
@@ -112,6 +112,23 @@ def grid_graph(rows: int, cols: int, terminals, weight_seed: int = 7) -> Graph:
     return Graph(inst.vertex_count, edges, frozenset(terminals))
 
 
+def frontiers(g: Graph, perm):
+    """The frontier after each step of perm, as one set updated in place:
+    a vertex is on it from its first edge until its last."""
+    undecided = [len(a) for a in g.adjacency]
+    live: set[int] = set()
+    for idx in perm:
+        u, v, _ = g.edges[idx]
+        undecided[u] -= 1
+        undecided[v] -= 1
+        for z in (u, v):
+            if undecided[z]:
+                live.add(z)
+            else:
+                live.discard(z)
+        yield live
+
+
 def bfs_order(g: Graph, start: int | None = None) -> EdgeOrder:
     """Breadth-first edge order from a start vertex.
 
@@ -127,7 +144,7 @@ def bfs_order(g: Graph, start: int | None = None) -> EdgeOrder:
     elif g.edges and not g.adjacency[start]:
         raise GraphError(f"start vertex {start} has no edges")
     perm = _bfs_edges(g, start)
-    return EdgeOrder(tuple(perm), _score(g, perm)[1])
+    return EdgeOrder(tuple(perm), max(map(len, frontiers(g, perm)), default=0))
 
 
 def _bfs_edges(g: Graph, start: int) -> list[int]:

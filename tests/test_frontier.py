@@ -18,11 +18,11 @@ from steinerenum import (
     reduce_bdd,
 )
 from steinerenum.frontier import ONE, ZERO
-from steinerenum.graph import frontiers
 from .conftest import (
     add_hub,
     add_parallel_edge_and_loop,
     bfs_order,
+    frontiers,
     grid_graph,
     random_connected_graph,
     subdivide_edge,

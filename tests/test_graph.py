@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinerenum import (
+    EdgeOrder,
     Graph,
     GraphError,
     ParseError,
@@ -28,12 +29,13 @@ from steinerenum import (
     write_stp,
 )
 from perfbench.instances import WORKLOADS
-from steinerenum.graph import _score, default_root, frontiers
+from steinerenum.graph import _greedy_edges, default_root
 from .stp_reference import reference_parse_stp
 from .conftest import (
     TRIANGLE_STP,
     add_parallel_edge_and_loop,
     bfs_order,
+    frontiers,
     grid_graph,
     random_connected_graph,
     subdivide_edge,
@@ -599,11 +601,20 @@ class TestOrderEdges:
         perm = order.permutation
         assert sorted(perm) == list(range(len(g.edges)))
         assert order.frontier_width == max(map(len, frontiers(g, perm)))
-        assert _score(g, perm) == (score(g, order), order.frontier_width)
+        assert reference_order(g)[0] == order
         plain = bfs_order(g)
-        assert order_edges(g) == order
         want = count_trees(reduce_bdd(construct_bdd(g, plain)))
         assert count_trees(reduce_bdd(construct_bdd(g, order))) == want
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_budget_bound_seed_unions(self, seed):
+        """Instance 0 of sparse-seeded seeds 0-4 through the CLI's default
+        seed selection and simplify: the budget stops the sweeps before
+        every vertex has started one."""
+        g = parse_stp(WORKLOADS["sparse-seeded"].instance(seed, 0).stp())
+        union, _ = union_subgraph(g, select_seeds(g, SeedConfig()).edge_map)
+        s, _ = simplify(union)
+        assert reference_order(s) == (order_edges(s), True)
 
     def test_permutation_on_a_seed_union_with_isolated_ids(self):
         g = grid_graph(6, 8, [1, 8, 41, 48])
@@ -638,6 +649,41 @@ class TestOrderEdges:
 
     def test_stable_across_calls(self, square):
         assert order_edges(square) == order_edges(square)
+
+
+def reference_order(g):
+    """``order_edges``' selection from full sweeps: the same candidates
+    and budget, each sweep scored by ``score`` once it is complete, on
+    the graph's own vertex ids.  Also whether the budget stopped the
+    sweeps before every candidate ran."""
+    root = default_root(g)
+    adj, ends = g.adjacency, [(u, v) for u, v, _ in g.edges]
+    nbrs = [{} for _ in adj]
+    for u, v in ends:
+        if u != v:
+            nbrs[u][v] = nbrs[u].get(v, 0) + 1
+            nbrs[v][u] = nbrs[v].get(u, 0) + 1
+
+    def sweep(start):
+        perm, last, s, width = _greedy_edges(start, adj, ends, nbrs, math.inf)
+        order = EdgeOrder(tuple(perm), width)
+        assert s == score(g, order)
+        assert width == max(map(len, frontiers(g, perm)), default=0)
+        return s, order, last
+
+    best, order, last = sweep(root)
+    spent, swept = len(g.edges), {root}
+    for start in [last] + [z for z, a in enumerate(adj) if a]:
+        if start in swept:
+            continue
+        spent += len(g.edges)
+        if spent > min(best, 1 << 14):
+            return order, True
+        swept.add(start)
+        s, candidate, _ = sweep(start)
+        if s < best:
+            best, order = s, candidate
+    return order, False
 
 
 def score(g, order):
