@@ -1,10 +1,11 @@
 """Enumeration of minimal Steiner trees within a cost bound.
 
-The pipeline builds a binary decision diagram over the instance's edge
-set with a frontier-based search, reduces it, and walks it to produce
-the cheapest trees in ascending cost order.  Two lossless-by-expansion
-preprocessing stages (seed-tree union and degree-2 contraction) keep
-the diagram small on sparse instances.
+The pipeline, the package's one enumerator, builds a binary decision
+diagram over the instance's edge set with a frontier-based search,
+reduces it, and walks it to produce the cheapest trees in ascending
+cost order.  Two lossless-by-expansion preprocessing stages (seed-tree
+union and degree-2 contraction) keep the diagram small on sparse
+instances.
 """
 
 from .frontier import (
@@ -27,7 +28,6 @@ from .graph import (
     simplify,
     write_stp,
 )
-from .oracle import OracleError, brute_force_minimal_steiner
 from .pipeline import RunConfig, RunResult, resolve_theta, run
 from .seeds import (
     SeedConfig,
@@ -56,7 +56,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "NodeCapExceeded",
-    "OracleError",
     "ParseError",
     "RunConfig",
     "RunResult",
@@ -65,7 +64,6 @@ __all__ = [
     "SimplificationMap",
     "SteinerTree",
     "TraversalError",
-    "brute_force_minimal_steiner",
     "construct_bdd",
     "count_trees",
     "enumerate_trees",

@@ -11,7 +11,6 @@ Usage::
                           [--k K] [--output out.jsonl] [--report r.json]
                           [--no-seeds] [--no-simplify] [--exact] ...
     steinerenum count     --input g.stp [--no-simplify] [--node-cap N]
-    steinerenum oracle    --input g.stp [--theta T]
 
 Tree output is JSON lines, one tree per line, ascending cost::
 
@@ -45,9 +44,9 @@ from fractions import Fraction
 from io import TextIOBase
 
 from .frontier import DEFAULT_NODE_CAP, NodeCapExceeded
-from .graph import Graph, GraphError, SteinerTree, order_edges, parse_stp, simplify, write_stp
-from .oracle import OracleError, brute_force_minimal_steiner
-from .pipeline import RunConfig, RunResult, build_diagram, resolve_theta, run
+from .graph import (Graph, GraphError, SteinerTree, default_root, order_edges, parse_stp,
+                    simplify, write_stp)
+from .pipeline import RunConfig, RunResult, build_diagram, run
 from .seeds import SeedConfig, select_seeds
 from .traverse import count_trees, validate_tree
 
@@ -153,9 +152,9 @@ def _parse_theta(text: str) -> Fraction | float:
     return math.inf if text.lower() == "inf" else _fraction("--theta", text)
 
 
-def _parse_root(args, g: Graph) -> int | None:
+def _parse_root(args, g: Graph) -> int:
     if args.seed_root == "min-degree":
-        return None
+        return default_root(g)  # raises on a graph without terminals
     try:
         root = int(args.seed_root)
     except ValueError:
@@ -204,27 +203,20 @@ def _count_config(args, g: Graph) -> RunConfig:
     )
 
 
-def _oracle_bound(args, g: Graph) -> int | None:
-    if len(g.terminals) < 2:
-        raise GraphError("enumeration needs at least two terminals")
-    if args.theta is None:
-        return None
-    return resolve_theta(RunConfig(theta=_parse_theta(args.theta)), g)
-
-
 def _load_seed_file(path: str, g: Graph) -> tuple[frozenset[int], ...]:
     """Read externally supplied trees: JSONL of {"edges": [[u, v], ...]}.
 
-    Endpoint pairs resolve to the smallest matching edge index; for
-    parallel edges supply the intended integer indices via
-    {"edge_indices": [...]}.  Every tree must be a minimal Steiner tree
-    of ``g``; a malformed record raises GraphError naming its line.
+    An endpoint pair means the cheapest edge between its ends, ties to
+    the smallest index, as a shortest-path search takes it; name any
+    other parallel edge by integer index via {"edge_indices": [...]}.
+    Every tree must be a minimal Steiner tree of ``g``; a malformed
+    record raises GraphError naming its line.
     """
     import json
-    lookup: dict[tuple[int, int], int] = {}
-    for idx, (u, v, _) in enumerate(g.edges):
+    lookup: dict[tuple[int, int], tuple[int, int]] = {}  # ends -> (weight, index)
+    for idx, (u, v, w) in enumerate(g.edges):
         key = (min(u, v), max(u, v))
-        lookup.setdefault(key, idx)
+        lookup[key] = min(lookup.get(key, (w, idx)), (w, idx))
     trees = []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
@@ -266,7 +258,7 @@ def _load_seed_file(path: str, g: Graph) -> tuple[frozenset[int], ...]:
                     key = (min(u, v), max(u, v))
                     if key not in lookup:
                         raise GraphError(f"{where}: no edge between {u} and {v}")
-                    idxs.append(lookup[key])
+                    idxs.append(lookup[key][1])
             tree = frozenset(idxs)
             if not validate_tree(SteinerTree(tree, g.tree_cost(tree)), g):
                 raise GraphError(f"{where}: not a minimal Steiner tree")
@@ -371,13 +363,6 @@ def _cmd_count(args, g: Graph, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args, g: Graph, bound: int | None) -> int:
-    trees = brute_force_minimal_steiner(g, bound)
-    _emit_trees(trees, g, args.output)
-    print(f"oracle: {len(trees)} tree(s)", file=sys.stderr)
-    return EXIT_OK
-
-
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steinerenum",
@@ -425,10 +410,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p = add("count", _cmd_count, "print the exact tree count (unbounded)", _count_config)
     p.add_argument("--no-simplify", action="store_true")
     p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
-
-    p = add("oracle", _cmd_oracle, "brute-force reference enumeration", _oracle_bound)
-    p.add_argument("--theta", type=str, default=None)
-    p.add_argument("--output", default=None)
 
     return parser
 
@@ -483,7 +464,7 @@ def _main(argv) -> int:
                         open(path, "w", encoding="utf-8")))
             args.output = getattr(args, "output", None) or sys.stdout
             return args.fn(args, g, cfg)
-    except (GraphError, OracleError, ValueError) as exc:
+    except ValueError as exc:  # GraphError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except NodeCapExceeded as exc:

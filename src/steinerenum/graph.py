@@ -108,7 +108,9 @@ class Graph(Record):
 
     ``cost_scale`` records the fixed-point factor applied when decimal
     weights were scaled to integers (1 for integer inputs).  All cost
-    arithmetic downstream is exact integer arithmetic in scaled units.
+    arithmetic downstream is exact integer arithmetic in scaled units, so
+    a weight, ``vertex_count`` or ``cost_scale`` that is not an int, or
+    is a bool, raises GraphError.
     """
 
     vertex_count: int
@@ -117,16 +119,26 @@ class Graph(Record):
     cost_scale: int = 1
 
     def __post_init__(self):
+        # a bool is an int to isinstance; any odd weight type checks all edges slowly
+        for name in ("vertex_count", "cost_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise GraphError(f"{name} must be an integer, got {value!r}")
+        kinds = {type(w) for _, _, w in self.edges}
+        odd = any(t is bool or not issubclass(t, int) for t in kinds)
         n = self.vertex_count
         if n < 1:
             raise GraphError("vertex_count must be positive")
         adj: list[list[int]] = [[] for _ in range(n + 1)]
         for idx, (u, v, w) in enumerate(self.edges):
-            if not (1 <= u <= n and 1 <= v <= n and w >= 0):
+            if odd or not (1 <= u <= n and 1 <= v <= n and w >= 0):
                 for z in (u, v):
                     if not 1 <= z <= n:
                         raise GraphError(f"edge {idx}: endpoint {z} out of range")
-                raise GraphError(f"edge {idx}: negative weight {w}")
+                if isinstance(w, bool) or not isinstance(w, int):
+                    raise GraphError(f"edge {idx}: weight {w!r} is not an integer")
+                if w < 0:
+                    raise GraphError(f"edge {idx}: negative weight {w}")
             # a self-loop appears twice in its endpoint's list on purpose:
             # incidence counts treat loops as two edge-ends
             adj[u].append(idx)

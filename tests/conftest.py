@@ -11,8 +11,10 @@ from collections import deque
 import pytest
 
 from perfbench.instances import grid
-from steinerenum import EdgeOrder, Graph, GraphError, OracleError
+from steinerenum import EdgeOrder, Graph, GraphError
 from steinerenum.graph import default_root
+
+from .oracle import OracleError
 
 _summary_lines: list[str] = []
 

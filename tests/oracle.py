@@ -7,7 +7,7 @@ with the main pipeline means something.
 
 from __future__ import annotations
 
-from .graph import Graph, SteinerTree
+from steinerenum.graph import Graph, SteinerTree
 
 
 MAX_EDGES = 24

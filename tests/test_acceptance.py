@@ -24,7 +24,6 @@ from steinerenum import (
     Graph,
     RunConfig,
     SteinerTree,
-    brute_force_minimal_steiner,
     construct_bdd,
     count_trees,
     enumerate_trees,
@@ -44,6 +43,7 @@ from .conftest import (
     record_line,
     subdivide_edge,
 )
+from .oracle import brute_force_minimal_steiner
 
 EXACT = dict(use_seeds=False, use_simplify=False)
 

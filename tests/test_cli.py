@@ -1,6 +1,8 @@
 """End-to-end CLI behavior through real subprocesses."""
 
+import argparse
 import gc
+import io
 import json
 import math
 import os
@@ -14,14 +16,15 @@ from pathlib import Path
 import pytest
 
 from steinerenum import SteinerTree, cli, parse_stp, pipeline, simplify, write_stp
-from steinerenum.oracle import brute_force_minimal_steiner
 from .conftest import (
     TRIANGLE_STP,
+    add_parallel_edge_and_loop,
     bfs_order,
     grid_graph,
     random_connected_graph,
     subdivide_edge,
 )
+from .oracle import brute_force_minimal_steiner
 
 CLI = [sys.executable, "-m", "steinerenum"]
 NOT_A_TREE_RECORD = 'expected an object with an "edges" or "edge_indices" list'
@@ -60,11 +63,29 @@ class TestEnumerate:
         assert json.loads(lines[1]) == {"cost": 3, "edges": [[1, 3]]}
         assert len(lines) == 2
 
-    def test_matches_oracle_in_exact_mode(self, tri_path):
-        a = run_cli("enumerate", "--input", tri_path, "--exact", "--theta", "inf")
-        b = run_cli("oracle", "--input", tri_path)
-        assert a.returncode == 0
-        assert a.stdout == b.stdout
+    def test_matches_oracle_in_exact_mode(self, tmp_path, capsys):
+        # enumerate --exact writes exactly the brute-force sweep's trees,
+        # on multigraphs with zero weights, subdivisions, parallel edges
+        # and loops, and exits 4 when none is within theta
+        rng = random.Random(53)
+        path = tmp_path / "g.stp"
+        for case in range(300):
+            g = random_connected_graph(rng, max_vertices=7, max_edges=11, weight_lo=0)
+            if case % 2:
+                g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+            if case % 3:
+                g = add_parallel_edge_and_loop(g, rng, loop_at_terminal=case % 3 == 1)
+            theta = (None, 0, 5, 12, 30)[case % 5]
+            path.write_text(write_stp(g))
+            want = io.StringIO()
+            trees = brute_force_minimal_steiner(g, theta)
+            cli._emit_trees(trees, g, want)
+            code = cli.main([
+                "enumerate", "--input", str(path), "--exact",
+                "--theta", "inf" if theta is None else str(theta), "--k", "1000000",
+            ])
+            assert (code, capsys.readouterr().out) == (
+                0 if trees else 4, want.getvalue()), case
 
     def test_costs_ascend(self, all_term_path):
         proc = run_cli(
@@ -173,18 +194,16 @@ class TestExitCodes:
                 ("enumerate", "--theta-ratio", "1/0"),
                 "--theta-ratio 1/0 has a zero denominator",
             ),
-            (("oracle", "--theta", "1/0"), "--theta 1/0 has a zero denominator"),
             (("enumerate", "--theta", "abc"), "--theta expects a number, got 'abc'"),
             (
                 ("enumerate", "--theta-ratio", "inf"),
                 "--theta-ratio expects a number, got 'inf'",
             ),
             (("enumerate", "--theta=-inf"), "--theta expects a number, got '-inf'"),
-            (("oracle", "--theta", "abc"), "--theta expects a number, got 'abc'"),
         ],
         ids=[
-            "theta", "theta_ratio", "oracle_theta", "theta_word",
-            "theta_ratio_inf", "theta_minus_inf", "oracle_theta_word",
+            "theta", "theta_ratio", "theta_word", "theta_ratio_inf",
+            "theta_minus_inf",
         ],
     )
     def test_zero_denominator_flag_is_3(self, tri_path, args, message):
@@ -243,14 +262,14 @@ class TestExitCodes:
             ("build", "--node-cap", "0"),
             ("build", "--theta", "-1"),
             ("seeds", "--seed-root", "x"),
-            ("oracle", "--theta", "x"),
+            ("build", "--theta", "x"),
             ("enumerate", "--theta-ratio", "-1"),
             ("enumerate", "--seed-root", "2"),
             ("seeds", "--seed-root", "2"),
         ],
         ids=[
             "theta_ratio", "k", "seeds_file", "node_cap", "negative_theta",
-            "seed_root", "oracle_theta", "negative_ratio",
+            "seed_root", "build_theta", "negative_ratio",
             "enumerate_non_terminal_root", "seeds_non_terminal_root",
         ],
     )
@@ -302,7 +321,7 @@ class TestExitCodes:
         assert first in message and second in message
         assert out.read_text() == "kept\n"
 
-    @pytest.mark.parametrize("command", ["enumerate", "build", "oracle"])
+    @pytest.mark.parametrize("command", ["enumerate", "build"])
     def test_one_terminal_leaves_outputs_untouched(self, tmp_path, command):
         p = tmp_path / "one.stp"
         p.write_text(
@@ -318,6 +337,17 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert "needs at least two terminals" in proc.stderr
         assert out.read_text() == report.read_text() == "kept\n"
+
+    def test_no_terminals_leaves_seeds_output_untouched(self, tmp_path):
+        p = tmp_path / "none.stp"
+        p.write_text("SECTION Graph\nNodes 3\nEdges 2\nE 1 2 1\nE 2 3 1\nEND\nEOF\n")
+        out = tmp_path / "out.txt"
+        out.write_text("kept\n")
+        proc = run_cli("seeds", "--input", str(p), "--output", str(out))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "error: graph has no terminals" in proc.stderr
+        assert out.read_text() == "kept\n"
 
     def test_gc_off_inside_and_restored(self, tri_path, tmp_path, monkeypatch):
         # main turns the cyclic collector off for its run only; tests and
@@ -386,6 +416,14 @@ class TestOtherSubcommands:
         data = json.loads(proc.stdout)
         assert (data["vertices"], data["edges"]) == (1, 0)
         assert data["frontier_width"] == 0
+
+    def test_subcommands(self):
+        """Subcommands change only on purpose, as ``__all__`` does."""
+        sub = next(a for a in cli._make_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == {
+            "stats", "simplify", "seeds", "build", "enumerate", "count",
+        }
 
     def test_count(self, tri_path, all_term_path):
         assert run_cli("count", "--input", tri_path).stdout.strip() == "2"
@@ -476,21 +514,16 @@ class TestOtherSubcommands:
         assert cli.main(["build", "--input", tri_path, "--theta", "inf", "--exact"]) == 0
         assert capsys.readouterr().out == want
 
-    def test_oracle_theta(self, tri_path):
-        proc = run_cli("oracle", "--input", tri_path, "--theta", "2")
-        assert proc.stdout.splitlines() == ['{"cost": 2, "edges": [[1, 2], [2, 3]]}']
-
     def test_oracle_negative_theta_is_3(self, tmp_path):
         p = tmp_path / "edge.stp"
         p.write_text(
             "SECTION Graph\nNodes 2\nEdges 1\nE 1 2 0\nEND\n"
             "SECTION Terminals\nTerminals 2\nT 1\nT 2\nEND\nEOF\n"
         )
-        for cmd in (("oracle",), ("enumerate", "--exact")):
-            proc = run_cli(*cmd, "--input", str(p), "--theta", "-0.5")
-            assert proc.returncode == 3
-            assert proc.stdout == ""
-            assert "theta must be non-negative" in proc.stderr
+        proc = run_cli("enumerate", "--exact", "--input", str(p), "--theta", "-0.5")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "theta must be non-negative" in proc.stderr
 
     def test_seeds_from_file_rejects_non_tree(self, tri_path, tmp_path):
         seeds = tmp_path / "seeds.jsonl"
@@ -607,6 +640,24 @@ class TestOtherSubcommands:
             assert a == b, case
             assert heuristic_out.read_text() == file_out.read_text(), case
         capsys.readouterr()
+
+    def test_seeds_from_file_pair_means_cheapest_parallel_edge(self, tmp_path, capsys):
+        # the seeds run takes the weight-1 copy of 1-2; read back, the
+        # pair must not mean the weight-9 copy listed first
+        stp, seeds = tmp_path / "g.stp", tmp_path / "seeds.jsonl"
+        stp.write_text(
+            "SECTION Graph\nNodes 4\nEdges 5\nE 1 2 9\nE 1 2 1\nE 2 3 1\n"
+            "E 3 4 1\nE 1 4 5\nEND\nSECTION Terminals\nTerminals 2\nT 1\nT 3\n"
+            "END\nEOF\n"
+        )
+        assert cli.main(["seeds", "--input", str(stp), "--output", str(seeds)]) == 0
+        assert cli.main(["enumerate", "--input", str(stp)]) == 0
+        heuristic = capsys.readouterr().out
+        assert json.loads(heuristic.splitlines()[0])["cost"] == 2
+        assert cli.main(
+            ["enumerate", "--input", str(stp), "--seeds-from-file", str(seeds)]
+        ) == 0
+        assert capsys.readouterr().out == heuristic
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,6 +145,42 @@ class TestGraph:
     def test_names_first_bad_edge_endpoint_before_weight(self, edges, message):
         with pytest.raises(GraphError, match=f"^{message}$"):
             Graph(3, edges, frozenset({1, 2}))
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((1, 2, 1.5), (2, 3, 0.1), (1, 3, 2)), "edge 0: weight 1.5 is not an integer"),
+            (((1, 2, 1), (2, 3, True), (1, 3, 2.0)), "edge 1: weight True is not an integer"),
+            (((1, 2, 1), (2, 3, Fraction(2))), "edge 1: weight Fraction(2, 1) is not an integer"),
+            (((1, 2, 1), (2, 3, "1")), "edge 1: weight '1' is not an integer"),
+            (((1, 9, 1), (2, 3, 0.5)), "edge 0: endpoint 9 out of range"),
+            (((1, 2, -1), (2, 3, 0.5)), "edge 0: negative weight -1"),
+            (((1, 2, 1), (2, 9, 0.5)), "edge 1: endpoint 9 out of range"),
+        ],
+        ids=[
+            "float", "bool", "fraction", "string", "earlier_endpoint",
+            "earlier_negative", "endpoint_before_type",
+        ],
+    )
+    def test_weight_must_be_an_int(self, edges, message):
+        # costs stay exact integers on the library path too
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            Graph(3, edges, frozenset({1, 3}))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(vertex_count=3.0), "vertex_count must be an integer, got 3.0"),
+            (dict(vertex_count=True), "vertex_count must be an integer, got True"),
+            (dict(cost_scale=2.5), "cost_scale must be an integer, got 2.5"),
+            (dict(cost_scale=True), "cost_scale must be an integer, got True"),
+        ],
+        ids=["float_vertex_count", "bool_vertex_count", "float_scale", "bool_scale"],
+    )
+    def test_count_and_scale_must_be_ints(self, fields, message):
+        g = dict(vertex_count=3, edges=((1, 2, 1),), terminals=frozenset({1}))
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            Graph(**{**g, **fields})
 
 
 class TestRecords:

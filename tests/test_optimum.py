@@ -6,11 +6,12 @@ import random
 import pytest
 
 from perfbench.instances import WORKLOADS
-from steinerenum import Graph, SeedConfig, brute_force_minimal_steiner, parse_stp
+from steinerenum import Graph, SeedConfig, parse_stp
 from steinerenum.pipeline import RunConfig, build_diagram, run
 from steinerenum.traverse import enumerate_trees
 
 from .conftest import add_parallel_edge_and_loop, random_connected_graph, subdivide_edge
+from .oracle import brute_force_minimal_steiner
 from .steiner_optimum import steiner_optimum
 
 

@@ -2,12 +2,9 @@
 
 import pytest
 
-from steinerenum import (
-    Graph,
-    OracleError,
-    brute_force_minimal_steiner,
-)
+from steinerenum import Graph
 from .conftest import count_simple_paths
+from .oracle import OracleError, brute_force_minimal_steiner
 
 
 def as_pairs(trees):

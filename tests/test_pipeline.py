@@ -272,7 +272,6 @@ def test_public_api():
         "Graph",
         "GraphError",
         "NodeCapExceeded",
-        "OracleError",
         "ParseError",
         "RunConfig",
         "RunResult",
@@ -281,7 +280,6 @@ def test_public_api():
         "SimplificationMap",
         "SteinerTree",
         "TraversalError",
-        "brute_force_minimal_steiner",
         "construct_bdd",
         "count_trees",
         "enumerate_trees",

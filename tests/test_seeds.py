@@ -11,7 +11,6 @@ from steinerenum import (
     GraphError,
     SeedConfig,
     SteinerTree,
-    brute_force_minimal_steiner,
     select_seeds,
     tosp_tree,
     union_subgraph,
@@ -24,6 +23,7 @@ from steinerenum.seeds import (
     default_root,
 )
 from .conftest import random_connected_graph
+from .oracle import brute_force_minimal_steiner
 
 
 # -- test-only reference: seed selection with a separate connectivity
