@@ -183,21 +183,21 @@ def _run_config(args, g: Graph) -> RunConfig:
     theta = None if args.theta is None else _parse_theta(args.theta)
     ratio = None if args.theta_ratio is None else _fraction("--theta-ratio", args.theta_ratio)
     seed_trees = _load_seed_file(args.seeds_from_file, g) if args.seeds_from_file else None
-    return _seed_config(args, g)._replace(
+    cfg = _seed_config(args, g)
+    return cfg._replace(
         k=getattr(args, "k", 1000),  # build writes no trees
         theta=theta,
         theta_ratio=ratio,
-        use_seeds=not (args.exact or args.no_seeds) and seed_trees is None,
+        seeds=None if args.exact or args.no_seeds else seed_trees or cfg.seeds,
         use_simplify=not (args.exact or args.no_simplify),
         node_cap=args.node_cap,
-        seed_trees=seed_trees,
     )
 
 
 def _count_config(args, g: Graph) -> RunConfig:
     return RunConfig(
         theta=math.inf,
-        use_seeds=False,
+        seeds=None,
         use_simplify=not args.no_simplify,
         node_cap=args.node_cap,
     )

@@ -37,23 +37,22 @@ class RunConfig(Record):
     tree's cost; without seeds the reference is one shortest-path tree
     from ``seed_root``.  A float theta or ratio counts as the decimal it
     prints as, and an infinite one sets no bound.
-    ``use_seeds``/``use_simplify`` toggle the two preprocessing stages;
-    exact mode is both off.  The run writes the ``k`` cheapest trees
-    within theta, or all of them when fewer exist.  ``seed_trees``
-    optionally injects externally supplied trees (original edge indices)
-    instead of running the heuristic: at least one, each a minimal
-    Steiner tree of the input graph.
+    ``seeds`` picks the searched graph: a ``SeedConfig`` runs the seed
+    heuristic and searches the union of its trees; a tuple of trees
+    (input edge indices, at least one, each a minimal Steiner tree of
+    the input graph) searches their union as given; None searches the
+    whole graph.  ``use_simplify`` toggles simplification; exact mode is
+    ``seeds=None, use_simplify=False``.  The run writes the ``k``
+    cheapest trees within theta, or all of them when fewer exist.
     """
 
     k: int = 1000
     theta: Fraction | float | None = None
     theta_ratio: Fraction | float | None = None
-    seeds: SeedConfig = SeedConfig()
+    seeds: SeedConfig | tuple[frozenset[int], ...] | None = SeedConfig()
     seed_root: int | None = None
-    use_seeds: bool = True
     use_simplify: bool = True
     node_cap: int = DEFAULT_NODE_CAP
-    seed_trees: tuple[frozenset[int], ...] | None = None
 
     def __post_init__(self):
         if self.theta is not None and self.theta_ratio is not None:
@@ -74,8 +73,8 @@ class RunConfig(Record):
             raise GraphError("theta must be non-negative")
         if self.theta_ratio is not None and not self.theta_ratio >= 0:
             raise GraphError("theta_ratio must be non-negative")
-        if self.seed_trees is not None and not self.seed_trees:
-            raise GraphError("seed_trees holds no tree")
+        if self.seeds is not None and not self.seeds:
+            raise GraphError("seeds holds no tree")
 
 
 class RunResult(Record):
@@ -140,17 +139,17 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
     if len(g.terminals) < 2:
         raise GraphError("enumeration needs at least two terminals")
 
-    if cfg.seed_trees is not None:
-        for i, fs in enumerate(cfg.seed_trees):  # checked before costing
+    if isinstance(cfg.seeds, SeedConfig):
+        seed_trees = select_seeds(g, cfg.seeds, cfg.seed_root).seed_trees
+    elif cfg.seeds is not None:
+        for i, fs in enumerate(cfg.seeds):  # checked before costing
             try:
                 valid = validate_tree(SteinerTree(fs, 0), g)
             except GraphError as exc:  # an edge index out of range
                 raise GraphError(f"seed tree {i}: {exc}") from None
             if not valid:
                 raise GraphError(f"seed tree {i}: not a minimal Steiner tree")
-        seed_trees = tuple(SteinerTree(fs, g.tree_cost(fs)) for fs in cfg.seed_trees)
-    elif cfg.use_seeds:
-        seed_trees = select_seeds(g, cfg.seeds, cfg.seed_root).seed_trees
+        seed_trees = tuple(SteinerTree(fs, g.tree_cost(fs)) for fs in cfg.seeds)
     else:
         seed_trees = ()
     if seed_trees:

@@ -15,13 +15,15 @@ import random
 
 from .graph import Graph, GraphError, Record, SteinerTree, default_root
 
+MAX_RETRIES = 50  # samples drawn per perturbed seed before it is skipped
+
 
 class SeedConfig(Record):
     """Knobs for seed selection.
 
     num_seeds counts trees including the unperturbed one.  Each
     perturbed run deletes ceil(perturb_fraction * |E|) random edges,
-    resampling (up to max_retries) whenever a sample disconnects any
+    resampling (up to MAX_RETRIES) whenever a sample disconnects any
     terminal pair.  The same rng_seed reproduces the selection exactly;
     streams are split per seed index, so runs are order-independent.
     """
@@ -29,15 +31,12 @@ class SeedConfig(Record):
     num_seeds: int = 3
     perturb_fraction: float = 0.05
     rng_seed: int = 0
-    max_retries: int = 50
 
     def __post_init__(self):
-        for name in ("num_seeds", "rng_seed", "max_retries"):
+        for name in ("num_seeds", "rng_seed"):
             value = getattr(self, name)  # a bool is an int to isinstance
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
         if self.num_seeds < 1:
             raise ValueError("num_seeds must be at least 1")
         if not 0 <= self.perturb_fraction < 1:
@@ -175,7 +174,7 @@ def tosp_tree(
     """
     if root is None:
         root = default_root(g)
-    elif root not in g.terminals:
+    elif isinstance(root, bool) or not isinstance(root, int) or root not in g.terminals:
         raise GraphError(f"seed root {root} is not a terminal")
     through, arcs, chain_of = stops or _stop_arcs(g)
     dist, pred_edge, _ = _dijkstra(arcs, root, {chain_of[e] for e in banned})
@@ -205,6 +204,9 @@ def union_subgraph(g: Graph, edge_indices) -> tuple[Graph, tuple[int, ...]]:
     is input edge ``edge_map[j]``, listed in ascending order.
     """
     edge_map = tuple(sorted(set(edge_indices)))
+    for i in edge_map[:1] + edge_map[-1:]:  # ascending: its ends bound the rest
+        if not 0 <= i < len(g.edges):
+            raise GraphError(f"edge index {i} out of range")
     edges = [g.edges[i] for i in edge_map]
     used = sorted({z for u, v, _ in edges for z in (u, v)}.union(g.terminals))
     new = {v: i for i, v in enumerate(used, 1)}
@@ -235,7 +237,7 @@ def select_seeds(
         if delete_count == 0:
             break  # perturbed runs would all repeat the first tree
         rng = random.Random(f"{cfg.rng_seed}:{seed_index}")
-        for _ in range(cfg.max_retries):
+        for _ in range(MAX_RETRIES):
             banned = frozenset(rng.sample(range(m), min(delete_count, m)))
             try:
                 trees.append(tosp_tree(g, root, banned, stops))

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from steinerenum import SteinerTree, cli, parse_stp, pipeline, simplify, write_stp
+from steinerenum import (SeedConfig, SteinerTree, cli, parse_stp, pipeline, simplify,
+                         write_stp)
 from .conftest import (
     TRIANGLE_STP,
     add_parallel_edge_and_loop,
@@ -504,7 +505,7 @@ class TestOtherSubcommands:
     def test_build_does_not_traverse(self, tri_path, monkeypatch, capsys):
         want = pipeline.build_diagram(
             parse_stp(TRIANGLE_STP),
-            pipeline.RunConfig(theta=math.inf, use_seeds=False, use_simplify=False),
+            pipeline.RunConfig(theta=math.inf, seeds=None, use_simplify=False),
         ).reduced.dump()
 
         def no_traversal(*args, **kwargs):
@@ -603,6 +604,27 @@ class TestOtherSubcommands:
         assert proc.returncode == 0
         assert [json.loads(x)["cost"] for x in proc.stdout.splitlines()] == [3]
 
+    def test_flags_pick_the_searched_graph(self, tmp_path):
+        """Each flag set maps to one state of RunConfig.seeds."""
+        g = parse_stp(TRIANGLE_STP)
+        seeds = tmp_path / "seeds.jsonl"
+        seeds.write_text('{"edges": [[1, 3]]}\n')
+
+        def config(*argv):
+            args = cli._make_parser().parse_args([argv[0], "--input", "g.stp", *argv[1:]])
+            return args.config(args, g)
+
+        for command in ("build", "enumerate"):
+            assert config(command).seeds == SeedConfig()
+            cfg = config(command, "--seeds", "2", "--perturb", "0.1", "--rng-seed", "4")
+            assert cfg.seeds == SeedConfig(2, 0.1, 4)
+            assert config(command, "--no-seeds").seeds is None
+            assert config(command, "--no-seeds").use_simplify
+            assert config(command, "--exact").seeds is None
+            assert not config(command, "--exact").use_simplify
+            cfg = config(command, "--seeds-from-file", str(seeds))
+            assert cfg.seeds == (frozenset({2}),)
+        assert config("count").seeds is None
 
     def test_seeds_from_file_may_be_the_output(self, tri_path, tmp_path):
         seeds = tmp_path / "seeds.jsonl"

@@ -29,6 +29,7 @@ from .conftest import (
     random_connected_graph,
     subdivide_edge,
 )
+from .oracle import brute_force_minimal_steiner
 
 # a two-edge path 1-2-3 with decimal weights; cost scale 100
 DECIMAL_PATH_STP = """\
@@ -52,7 +53,7 @@ class TestResolveTheta:
     def test_float_theta_is_its_decimal(self, theta):
         # 0.29 * 100 is 28.999... in binary floating point
         g = parse_stp(DECIMAL_PATH_STP)
-        res = run(g, RunConfig(theta=theta, use_seeds=False, use_simplify=False))
+        res = run(g, RunConfig(theta=theta, seeds=None, use_simplify=False))
         assert res.theta == 29
         assert [(t.cost, t.sorted_edges()) for t in res.trees] == [(29, (0, 1))]
 
@@ -151,20 +152,69 @@ class TestInjectedSeedTrees:
         ],
     )
     def test_bad_tree_is_named(self, triangle, tree, problem):
-        cfg = RunConfig(seed_trees=(frozenset({2}), frozenset(tree)))
+        cfg = RunConfig(seeds=(frozenset({2}), frozenset(tree)))
         with pytest.raises(GraphError, match=f"^seed tree 1: {problem}$"):
             build_diagram(triangle, cfg)
 
     def test_no_tree_is_a_config_error(self, triangle):
         # named before any graph is read, not as a disconnected union
-        with pytest.raises(GraphError, match="^seed_trees holds no tree$"):
-            build_diagram(triangle, RunConfig(seed_trees=()))
+        with pytest.raises(GraphError, match="^seeds holds no tree$"):
+            build_diagram(triangle, RunConfig(seeds=()))
 
     def test_valid_trees_set_the_bound(self, triangle):
-        cfg = RunConfig(seed_trees=(frozenset({2}), frozenset({0, 1})))
+        cfg = RunConfig(seeds=(frozenset({2}), frozenset({0, 1})))
         res = run(triangle, cfg)
         assert res.theta == 2  # 1.2 times the cheaper tree, floored
         assert [t.edges for t in res.trees] == [frozenset({0, 1})]
+
+
+class TestSeedsField:
+    """RunConfig.seeds alone picks the searched graph."""
+
+    # the 4-cycle 1-2-3-4-1, unit weights, terminals 1 and 3: two trees
+    CYCLE = Graph(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1)), frozenset({1, 3}))
+
+    def test_none_searches_the_whole_graph(self):
+        cfg = RunConfig(theta=math.inf, seeds=None, use_simplify=False)
+        trees = run(self.CYCLE, cfg).trees
+        assert trees == brute_force_minimal_steiner(self.CYCLE)
+        assert [t.edges for t in trees] == [frozenset({0, 1}), frozenset({2, 3})]
+
+    def test_one_tree_searches_only_itself(self):
+        cfg = RunConfig(theta=math.inf, seeds=(frozenset({0, 1}),), use_simplify=False)
+        assert [t.edges for t in run(self.CYCLE, cfg).trees] == [frozenset({0, 1})]
+
+    def test_trees_search_exactly_their_union(self):
+        rng = random.Random(29)
+        for case in range(60):
+            g = random_connected_graph(rng)
+            every = brute_force_minimal_steiner(g)
+            given = tuple(t.edges for t in rng.sample(every, min(len(every), 2)))
+            union = frozenset().union(*given)
+            cfg = RunConfig(theta=math.inf, seeds=given, use_simplify=case % 2 == 0)
+            want = tuple(t for t in every if t.edges <= union)
+            assert run(g, cfg).trees == want, case
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SeedConfig(max_retries=5),
+            lambda: RunConfig(use_seeds=False),
+            lambda: RunConfig(seed_trees=(frozenset({0}),)),
+        ],
+        ids=["max_retries", "use_seeds", "seed_trees"],
+    )
+    def test_removed_fields_are_type_errors(self, make):
+        with pytest.raises(TypeError, match="unknown"):
+            make()
+
+    def test_fields(self):
+        """Fields change only on purpose: each addition or removal edits
+        these lists."""
+        assert RunConfig._fields == (
+            "k", "theta", "theta_ratio", "seeds", "seed_root", "use_simplify", "node_cap",
+        )
+        assert SeedConfig._fields == ("num_seeds", "perturb_fraction", "rng_seed")
 
 
 def test_configs_share_equal_seed_defaults():
@@ -192,8 +242,8 @@ class TestTreeOrder:
             ])
             cfg = RunConfig(
                 k=rng.choice([1, 3, 10, 1000]),
-                seeds=SeedConfig(perturb_fraction=0.3, rng_seed=case),
-                use_seeds=case % 2 == 0,
+                seeds=(SeedConfig(perturb_fraction=0.3, rng_seed=case)
+                       if case % 2 == 0 else None),
                 use_simplify=case % 4 < 2,
                 **bound,
             )
@@ -229,7 +279,7 @@ class TestIdentityExpansion:
     @pytest.mark.parametrize("use_simplify", [False, True])
     def test_identity_map_is_not_expanded(self, monkeypatch, use_simplify):
         g = self.GRID
-        cfg = RunConfig(theta=math.inf, use_seeds=False, use_simplify=use_simplify)
+        cfg = RunConfig(theta=math.inf, seeds=None, use_simplify=use_simplify)
         d, want = self.expanded(g, cfg)
         assert d.smap.replacements == tuple((i,) for i in range(len(g.edges)))
         assert len(want) > 1
@@ -244,7 +294,7 @@ class TestIdentityExpansion:
         # the loop comes first, so every other edge index shifts by one
         g = self.GRID
         g = Graph(g.vertex_count, ((5, 5, 1),) + g.edges, g.terminals)
-        cfg = RunConfig(theta=math.inf, use_seeds=False)
+        cfg = RunConfig(theta=math.inf, seeds=None)
         _, want = self.expanded(g, cfg)
         calls = self.count_expansions(monkeypatch)
         assert run(g, cfg).trees == want

@@ -16,6 +16,7 @@ from steinerenum import (
     union_subgraph,
     validate_tree,
 )
+from steinerenum import seeds
 from steinerenum.seeds import (
     SeedSelection,
     UnreachableTerminal,
@@ -129,7 +130,7 @@ def reference_terminals_connected(g: Graph, banned: set[int]) -> bool:
 
 
 def reference_select_seeds(
-    g: Graph, cfg: SeedConfig = SeedConfig(), root: int | None = None
+    g: Graph, cfg: SeedConfig, root: int | None, retries: int
 ) -> SeedSelection:
     trees: list[SteinerTree] = [reference_tosp_tree(g, root)]
     m = len(g.edges)
@@ -138,7 +139,7 @@ def reference_select_seeds(
         if delete_count == 0:
             break  # perturbed runs would all repeat the first tree
         rng = random.Random(f"{cfg.rng_seed}:{seed_index}")
-        for _ in range(cfg.max_retries):
+        for _ in range(retries):
             banned = set(rng.sample(range(m), min(delete_count, m)))
             if reference_terminals_connected(g, banned):
                 trees.append(reference_tosp_tree(g, root, frozenset(banned)))
@@ -237,6 +238,16 @@ class TestTosp:
         with pytest.raises(GraphError):
             tosp_tree(triangle, root=2)
 
+    @pytest.mark.parametrize("root", [True, 1.0, 3.0])
+    def test_non_integer_root_is_not_a_terminal(self, triangle, root):
+        # True once ran from vertex 1; 1.0 and 3.0 indexed a list with a float
+        for call in (
+            lambda: tosp_tree(triangle, root),
+            lambda: select_seeds(triangle, SeedConfig(), root),
+        ):
+            with pytest.raises(GraphError, match=f"^seed root {root} is not a terminal$"):
+                call()
+
     def test_unreachable_terminal_raises(self, triangle):
         with pytest.raises(GraphError, match="unreachable"):
             tosp_tree(triangle, banned=frozenset({0, 2}))
@@ -330,7 +341,7 @@ class TestSelectSeeds:
         assert [t.edges for t in a.seed_trees] == [t.edges for t in b.seed_trees]
         assert a.edge_map == b.edge_map
 
-    def test_matches_reference_with_retries(self):
+    def test_matches_reference_with_retries(self, monkeypatch):
         """One search per perturbed attempt selects exactly what a
         connectivity check followed by a second search did, including
         seeds that need retries and seeds whose retries run out."""
@@ -342,18 +353,19 @@ class TestSelectSeeds:
                 num_seeds=4,
                 perturb_fraction=rng.choice((0.3, 0.4, 0.5, 0.6)),
                 rng_seed=n,
-                max_retries=rng.choice((2, 5)),
             )
+            retries = rng.choice((2, 5))
+            monkeypatch.setattr(seeds, "MAX_RETRIES", retries)
             root = rng.choice([None, *sorted(g.terminals)])
             got = select_seeds(g, cfg, root)
-            want = reference_select_seeds(g, cfg, root)
+            want = reference_select_seeds(g, cfg, root, retries)
             assert got.seed_trees == want.seed_trees
             assert got.edge_map == want.edge_map
             # replay the samples to see which retry paths were taken
             m = len(g.edges)
             for seed_index in range(1, cfg.num_seeds):
                 sampler = random.Random(f"{cfg.rng_seed}:{seed_index}")
-                for attempt in range(cfg.max_retries):
+                for attempt in range(retries):
                     banned = set(sampler.sample(range(m), math.ceil(
                         cfg.perturb_fraction * m)))
                     if reference_terminals_connected(g, banned):
@@ -363,7 +375,7 @@ class TestSelectSeeds:
                     exhausted += 1
         assert retried > 0 and exhausted > 0
 
-    def test_chain_rich_matches_reference_with_retries(self):
+    def test_chain_rich_matches_reference_with_retries(self, monkeypatch):
         """All searches of one selection share the stop arcs walked
         once: perturbed searches whose bans cut chains, retries
         included, select what the flat reference selects."""
@@ -375,11 +387,12 @@ class TestSelectSeeds:
                 num_seeds=4,
                 perturb_fraction=rng.choice((0.1, 0.2, 0.3)),
                 rng_seed=n,
-                max_retries=rng.choice((2, 5)),
             )
+            retries = rng.choice((2, 5))
+            monkeypatch.setattr(seeds, "MAX_RETRIES", retries)
             root = rng.choice([None, *sorted(g.terminals)])
             got = select_seeds(g, cfg, root)
-            want = reference_select_seeds(g, cfg, root)
+            want = reference_select_seeds(g, cfg, root, retries)
             assert got.seed_trees == want.seed_trees, (g, cfg, root)
             assert got.edge_map == want.edge_map
             # replay the second and later seeds' samples, retries
@@ -390,7 +403,7 @@ class TestSelectSeeds:
             m = len(g.edges)
             for seed_index in range(2, cfg.num_seeds):
                 sampler = random.Random(f"{cfg.rng_seed}:{seed_index}")
-                for attempt in range(cfg.max_retries):
+                for attempt in range(retries):
                     banned = set(sampler.sample(range(m), math.ceil(
                         cfg.perturb_fraction * m)))
                     cut_later += any(chain_of[e] in long_chains for e in banned)
@@ -414,19 +427,17 @@ class TestSelectSeeds:
             ("num_seeds", 2.5, "num_seeds must be an integer"),
             ("rng_seed", True, "rng_seed must be an integer"),
             ("rng_seed", 1.0, "rng_seed must be an integer"),
-            ("max_retries", False, "max_retries must be an integer"),
-            ("max_retries", 5.0, "max_retries must be an integer"),
-            ("max_retries", -1, "max_retries must be non-negative"),
         ],
     )
     def test_non_integer_knobs_are_config_errors(self, field, value, message):
         # True once ran as one seed; 2.5 seeds failed later, in
-        # select_seeds, with a TypeError; -1 retries was taken silently
+        # select_seeds, with a TypeError
         with pytest.raises(ValueError, match=f"^{message}$"):
             SeedConfig(**{field: value})
 
-    def test_zero_retries_and_negative_rng_seed_run(self, triangle):
-        sel = select_seeds(triangle, SeedConfig(rng_seed=-3, max_retries=0))
+    def test_zero_retries_and_negative_rng_seed_run(self, triangle, monkeypatch):
+        monkeypatch.setattr(seeds, "MAX_RETRIES", 0)
+        sel = select_seeds(triangle, SeedConfig(rng_seed=-3))
         assert sel.seed_trees
 
 
@@ -442,3 +453,11 @@ class TestUnionSubgraph:
         assert sub.terminals == frozenset({1, 2})
         assert edge_map == (2,)
         assert_compact_union(triangle, sub, edge_map)
+
+    @pytest.mark.parametrize(
+        "indices, bad", [({-1}, -1), ({3}, 3), ({-1, 0, 1}, -1), ({0, 2, 3}, 3)]
+    )
+    def test_index_out_of_range(self, triangle, indices, bad):
+        # -1 once took the last edge, and 3 raised a bare IndexError
+        with pytest.raises(GraphError, match=f"^edge index {bad} out of range$"):
+            union_subgraph(triangle, indices)
