@@ -13,28 +13,28 @@ per pair, such as ``build stdout: 20``.  The exit status is 1 if any
 differ, else 0.
 
 The instances are the benchmark's (``perfbench/instances.py``, seeds
-0-4).  The 180 commands are ``enumerate`` with each workload's own flags
+0-4).  The 170 commands are ``enumerate`` with each workload's own flags
 on every instance of every workload; on the grid-topk and grid-build
-instances, the eleven commands in ``GRID_COMMANDS``; and on instance 0 of
-each sparse-seeded seed, the eleven in ``SPARSE_COMMANDS`` and
-``SEED_FILE_COMMANDS``.  Those eleven are ``stats``; ``build`` at the
+instances, the ten commands in ``GRID_COMMANDS``; and on instance 0 of
+each sparse-seeded seed, the eight in ``SPARSE_COMMANDS`` and
+``SEED_FILE_COMMANDS``.  Those eight are ``stats``; ``build`` at the
 benchmark's 1% perturbation and at the default 5%, each of which dumps
-the whole diagram built on the seeded search graph, and ``build
---no-simplify``; ``enumerate --k 20`` at the default 5%, whose seed
-unions build larger diagrams than at 1% (2,753 nodes on seed 3), with
-and without ``--no-simplify``; the two ``seeds`` commands, which write
-the seed trees themselves at the default 5% perturbation and at the
-benchmark's 1%; and ``enumerate --k 20`` with and without
-``--no-simplify`` and ``build``, each with ``--seeds-from-file`` naming
-the trees that this checkout's ``seeds --perturb 0.01`` wrote for that
-instance.  Two of the grid commands
-write a run report and an expansion map to ``/dev/null``: the CLI loads
+the whole diagram built on the seeded search graph; ``enumerate --k 20``
+at the default 5%, whose seed unions build larger diagrams than at 1%
+(2,753 nodes on seed 3); the two ``seeds`` commands, which write the
+seed trees themselves at the default 5% perturbation and at the
+benchmark's 1%; and ``enumerate --k 20`` and ``build``, each with
+``--seeds-from-file`` naming the trees that this checkout's ``seeds
+--perturb 0.01`` wrote for that instance.  The grids have no degree-2
+non-terminal, so simplification leaves them as they are.  Two of the
+grid commands write a run report and an expansion map to ``/dev/null``: the CLI loads
 json only on such paths, which are then compared by exit code and
 stderr.  Two more stop at a node cap of 2000 and exit 5, so the cap's
 diagnostic, the level and the layer sizes so far, is compared against
-the other tree's.  Seven more run ``stats`` on copies of sparse-seeded seed 0 instance 0
-with one fault each (see ``malformed``), so error messages, their line
-numbers and the exit code are compared too: 202 commands in all.
+the other tree's.  Seven more run ``stats`` on copies of sparse-seeded
+seed 0 instance 0 with one fault each (see ``malformed``), so error
+messages, their line numbers and the exit code are compared too: 177
+commands in all.
 """
 
 from __future__ import annotations
@@ -58,11 +58,10 @@ GRID_COMMANDS = (
     ("build", "--theta-ratio", "1.05"),
     ("build", "--exact", "--theta", "inf", "--node-cap", "2000"),
     ("count",),
-    ("count", "--no-simplify"),
-    ("enumerate", "--no-seeds", "--k", "50"),
+    ("enumerate", "--exact", "--k", "50"),
     ("enumerate", "--k", "50", "--perturb", "0.3"),
-    ("enumerate", "--no-seeds", "--k", "50", "--report", "/dev/null"),
-    ("enumerate", "--no-seeds", "--k", "50", "--node-cap", "2000"),
+    ("enumerate", "--exact", "--k", "50", "--report", "/dev/null"),
+    ("enumerate", "--exact", "--k", "50", "--node-cap", "2000"),
     ("simplify", "--map", "/dev/null"),
     ("stats",),
 )
@@ -70,16 +69,13 @@ SPARSE_COMMANDS = (
     ("stats",),
     ("build", "--perturb", "0.01"),
     ("build",),
-    ("build", "--no-simplify"),
     ("enumerate", "--k", "20"),
-    ("enumerate", "--k", "20", "--no-simplify"),
     ("seeds",),
     ("seeds", "--perturb", "0.01"),
 )
 # run with the seed trees of this checkout's ``seeds --perturb 0.01``
 SEED_FILE_COMMANDS = (
     ("enumerate", "--k", "20"),
-    ("enumerate", "--k", "20", "--no-simplify"),
     ("build",),
 )
 

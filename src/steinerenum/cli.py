@@ -9,8 +9,8 @@ Usage::
     steinerenum build     --input g.stp [--theta T | --theta-ratio R] ...
     steinerenum enumerate --input g.stp [--theta T | --theta-ratio R]
                           [--k K] [--output out.jsonl] [--report r.json]
-                          [--no-seeds] [--no-simplify] [--exact] ...
-    steinerenum count     --input g.stp [--no-simplify] [--node-cap N]
+                          [--exact | --seeds-from-file F] ...
+    steinerenum count     --input g.stp [--node-cap N]
 
 Tree output is JSON lines, one tree per line, ascending cost::
 
@@ -188,19 +188,13 @@ def _run_config(args, g: Graph) -> RunConfig:
         k=getattr(args, "k", 1000),  # build writes no trees
         theta=theta,
         theta_ratio=ratio,
-        seeds=None if args.exact or args.no_seeds else seed_trees or cfg.seeds,
-        use_simplify=not (args.exact or args.no_simplify),
+        seeds=None if args.exact else seed_trees or cfg.seeds,
         node_cap=args.node_cap,
     )
 
 
 def _count_config(args, g: Graph) -> RunConfig:
-    return RunConfig(
-        theta=math.inf,
-        seeds=None,
-        use_simplify=not args.no_simplify,
-        node_cap=args.node_cap,
-    )
+    return RunConfig(theta=math.inf, seeds=None, node_cap=args.node_cap)
 
 
 def _load_seed_file(path: str, g: Graph) -> tuple[frozenset[int], ...]:
@@ -393,22 +387,18 @@ def _make_parser() -> argparse.ArgumentParser:
         p = add(name, fn, help_text, _run_config)
         _theta_args(p)
         _seed_args(p)
-        p.add_argument("--no-seeds", action="store_true", help="search the full graph")
-        p.add_argument("--no-simplify", action="store_true")
-        p.add_argument(
-            "--exact",
-            action="store_true",
-            help="disable both preprocessing stages",
-        )
+        # both name the searched graph
+        searched = p.add_mutually_exclusive_group()
+        searched.add_argument("--exact", action="store_true",
+                              help="search the whole graph")
+        searched.add_argument("--seeds-from-file", default=None, help="JSONL seed trees")
         p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
-        p.add_argument("--seeds-from-file", default=None, help="JSONL seed trees")
         p.add_argument("--output", default=None)
         if name == "enumerate":
             p.add_argument("--k", type=int, default=1000, help="trees written")
             p.add_argument("--report", default=None, help="write a JSON run report")
 
     p = add("count", _cmd_count, "print the exact tree count (unbounded)", _count_config)
-    p.add_argument("--no-simplify", action="store_true")
     p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
 
     return parser
@@ -434,13 +424,6 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seeds_from_file", None):
-        # both flags promise a search of the whole graph
-        for flag, on in (("--exact", args.exact), ("--no-seeds", args.no_seeds)):
-            if on:
-                parser.error(
-                    f"argument --seeds-from-file: not allowed with argument {flag}"
-                )
     # two outputs on one file would clobber each other
     outputs: dict[str, str] = {}
     for flag in ("output", "report", "map"):

@@ -41,9 +41,8 @@ class RunConfig(Record):
     heuristic and searches the union of its trees; a tuple of trees
     (input edge indices, at least one, each a minimal Steiner tree of
     the input graph) searches their union as given; None searches the
-    whole graph.  ``use_simplify`` toggles simplification; exact mode is
-    ``seeds=None, use_simplify=False``.  The run writes the ``k``
-    cheapest trees within theta, or all of them when fewer exist.
+    whole graph, which is exact mode.  The run writes the ``k`` cheapest
+    trees within theta, or all of them when fewer exist.
     """
 
     k: int = 1000
@@ -51,7 +50,6 @@ class RunConfig(Record):
     theta_ratio: Fraction | float | None = None
     seeds: SeedConfig | tuple[frozenset[int], ...] | None = SeedConfig()
     seed_root: int | None = None
-    use_simplify: bool = True
     node_cap: int = DEFAULT_NODE_CAP
 
     def __post_init__(self):
@@ -145,7 +143,7 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
         for i, fs in enumerate(cfg.seeds):  # checked before costing
             try:
                 valid = validate_tree(SteinerTree(fs, 0), g)
-            except GraphError as exc:  # an edge index out of range
+            except GraphError as exc:  # an edge index out of range or not an int
                 raise GraphError(f"seed tree {i}: {exc}") from None
             if not valid:
                 raise GraphError(f"seed tree {i}: not a minimal Steiner tree")
@@ -158,14 +156,11 @@ def build_diagram(g: Graph, cfg: RunConfig = RunConfig()) -> Diagram:
         work, edge_map = g, range(len(g.edges))
     theta = resolve_theta(cfg, g, min((t.cost for t in seed_trees), default=None))
 
-    if cfg.use_simplify:
-        simplified, smap = simplify(work)
-        smap = SimplificationMap(
-            tuple(tuple(edge_map[i] for i in c) for c in smap.replacements),
-            tuple(edge_map[i] for i in smap.removed_loops),
-        )
-    else:
-        simplified, smap = work, SimplificationMap(tuple((i,) for i in edge_map), ())
+    simplified, smap = simplify(work)
+    smap = SimplificationMap(
+        tuple(tuple(edge_map[i] for i in c) for c in smap.replacements),
+        tuple(edge_map[i] for i in smap.removed_loops),
+    )
 
     order = order_edges(simplified)
 

@@ -203,7 +203,11 @@ def union_subgraph(g: Graph, edge_indices) -> tuple[Graph, tuple[int, ...]]:
     and tie that compares vertex ids comes out as on g.  Subgraph edge j
     is input edge ``edge_map[j]``, listed in ascending order.
     """
-    edge_map = tuple(sorted(set(edge_indices)))
+    indices = set(edge_indices)
+    for i in indices:  # checked before sorting, which a str would fail
+        if isinstance(i, bool) or not isinstance(i, int):  # a bool is an int
+            raise GraphError(f"edge index {i!r} is not an integer")
+    edge_map = tuple(sorted(indices))
     for i in edge_map[:1] + edge_map[-1:]:  # ascending: its ends bound the rest
         if not 0 <= i < len(g.edges):
             raise GraphError(f"edge index {i} out of range")

@@ -218,6 +218,8 @@ def validate_tree(tree: SteinerTree, g: Graph) -> bool:
 
     deg: dict[int, int] = {}
     for idx in tree.edges:
+        if isinstance(idx, bool) or not isinstance(idx, int):  # a bool is an int
+            raise GraphError(f"edge index {idx!r} is not an integer")
         if not 0 <= idx < len(g.edges):
             raise GraphError(f"edge index {idx} out of range")
         u, v, _ = g.edges[idx]

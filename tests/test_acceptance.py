@@ -45,7 +45,7 @@ from .conftest import (
 )
 from .oracle import brute_force_minimal_steiner
 
-EXACT = dict(seeds=None, use_simplify=False)
+EXACT = dict(seeds=None)
 
 
 def verdict(num: int, name: str, ok: bool, detail: str):

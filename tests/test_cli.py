@@ -167,25 +167,43 @@ class TestExitCodes:
         "command, flag",
         [
             ("enumerate", "--exact"),
-            ("enumerate", "--no-seeds"),
             ("build", "--exact"),
-            ("build", "--no-seeds"),
         ],
     )
     def test_seeds_from_file_with_full_search_is_2(
         self, tri_path, tmp_path, command, flag
     ):
-        # both flags promise a search of the whole graph, which a seed
-        # file would silently narrow to its trees
+        # the flag promises a search of the whole graph, which a seed
+        # file would silently narrow to its trees; refused in either order
         seeds = tmp_path / "seeds.jsonl"
         seeds.write_text('{"edges": [[1, 3]]}\n')
-        proc = run_cli(
-            command, "--input", tri_path, "--theta", "inf", flag,
-            "--seeds-from-file", str(seeds),
-        )
+        from_file = ("--seeds-from-file", str(seeds))
+        for argv in ((flag, *from_file), (*from_file, flag)):
+            proc = run_cli(command, "--input", tri_path, "--theta", "inf", *argv)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert "not allowed with argument" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("enumerate", "--no-seeds"),
+            ("enumerate", "--no-simplify"),
+            ("build", "--no-seeds"),
+            ("build", "--no-simplify"),
+            ("count", "--no-simplify"),
+        ],
+        ids=["enumerate_no_seeds", "enumerate_no_simplify", "build_no_seeds",
+             "build_no_simplify", "count_no_simplify"],
+    )
+    def test_removed_flags_are_2(self, tri_path, args):
+        # --exact is the one flag that searches the whole graph, and
+        # simplification always runs
+        command, flag = args
+        proc = run_cli(command, "--input", tri_path, flag)
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert f"--seeds-from-file: not allowed with argument {flag}" in proc.stderr
+        assert f"unrecognized arguments: {flag}" in proc.stderr
 
     @pytest.mark.parametrize(
         "args, message",
@@ -439,9 +457,8 @@ class TestOtherSubcommands:
             path = tmp_path / f"g{case}.stp"
             path.write_text(write_stp(g))
             want = f"{len(brute_force_minimal_steiner(g))}\n"
-            for extra in ([], ["--no-simplify"]):
-                assert cli.main(["count", "--input", str(path), *extra]) == 0
-                assert capsys.readouterr().out == want, (case, extra)
+            assert cli.main(["count", "--input", str(path)]) == 0
+            assert capsys.readouterr().out == want, case
 
     def test_simplify_writes_valid_stp(self, tmp_path):
         chain = (
@@ -499,13 +516,13 @@ class TestOtherSubcommands:
         proc = run_cli("build", "--input", tri_path, "--theta", "inf", "--exact")
         lines = proc.stdout.splitlines()
         count, levels = map(int, lines[0].split()[1:])
-        assert levels == 3
+        assert levels == 2  # vertex 2 is contracted: edges 1-2-3 become one
         assert len(lines) == count + 1
 
     def test_build_does_not_traverse(self, tri_path, monkeypatch, capsys):
         want = pipeline.build_diagram(
             parse_stp(TRIANGLE_STP),
-            pipeline.RunConfig(theta=math.inf, seeds=None, use_simplify=False),
+            pipeline.RunConfig(theta=math.inf, seeds=None),
         ).reduced.dump()
 
         def no_traversal(*args, **kwargs):
@@ -618,10 +635,7 @@ class TestOtherSubcommands:
             assert config(command).seeds == SeedConfig()
             cfg = config(command, "--seeds", "2", "--perturb", "0.1", "--rng-seed", "4")
             assert cfg.seeds == SeedConfig(2, 0.1, 4)
-            assert config(command, "--no-seeds").seeds is None
-            assert config(command, "--no-seeds").use_simplify
             assert config(command, "--exact").seeds is None
-            assert not config(command, "--exact").use_simplify
             cfg = config(command, "--seeds-from-file", str(seeds))
             assert cfg.seeds == (frozenset({2}),)
         assert config("count").seeds is None

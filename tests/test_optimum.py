@@ -56,7 +56,7 @@ def test_exact_runs_on_grids_find_the_optimum():
     for i in range(40):
         g = weighted_grid(rng)
         bound = {"theta": float("inf")} if i % 2 else {}
-        cfg = RunConfig(k=1, seeds=None, use_simplify=False, **bound)
+        cfg = RunConfig(k=1, seeds=None, **bound)
         assert run(g, cfg).trees[0].cost == steiner_optimum(g), (i, g)
 
 

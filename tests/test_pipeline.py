@@ -12,14 +12,18 @@ from steinerenum import (
     GraphError,
     RunConfig,
     SeedConfig,
+    construct_bdd,
     enumerate_trees,
     expand_tree,
+    order_edges,
     parse_stp,
     pipeline,
+    reduce_bdd,
     resolve_theta,
     run,
     select_seeds,
     tosp_tree,
+    union_subgraph,
 )
 from steinerenum.pipeline import build_diagram
 
@@ -53,7 +57,7 @@ class TestResolveTheta:
     def test_float_theta_is_its_decimal(self, theta):
         # 0.29 * 100 is 28.999... in binary floating point
         g = parse_stp(DECIMAL_PATH_STP)
-        res = run(g, RunConfig(theta=theta, seeds=None, use_simplify=False))
+        res = run(g, RunConfig(theta=theta, seeds=None))
         assert res.theta == 29
         assert [(t.cost, t.sorted_edges()) for t in res.trees] == [(29, (0, 1))]
 
@@ -175,13 +179,13 @@ class TestSeedsField:
     CYCLE = Graph(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1)), frozenset({1, 3}))
 
     def test_none_searches_the_whole_graph(self):
-        cfg = RunConfig(theta=math.inf, seeds=None, use_simplify=False)
+        cfg = RunConfig(theta=math.inf, seeds=None)
         trees = run(self.CYCLE, cfg).trees
         assert trees == brute_force_minimal_steiner(self.CYCLE)
         assert [t.edges for t in trees] == [frozenset({0, 1}), frozenset({2, 3})]
 
     def test_one_tree_searches_only_itself(self):
-        cfg = RunConfig(theta=math.inf, seeds=(frozenset({0, 1}),), use_simplify=False)
+        cfg = RunConfig(theta=math.inf, seeds=(frozenset({0, 1}),))
         assert [t.edges for t in run(self.CYCLE, cfg).trees] == [frozenset({0, 1})]
 
     def test_trees_search_exactly_their_union(self):
@@ -191,9 +195,20 @@ class TestSeedsField:
             every = brute_force_minimal_steiner(g)
             given = tuple(t.edges for t in rng.sample(every, min(len(every), 2)))
             union = frozenset().union(*given)
-            cfg = RunConfig(theta=math.inf, seeds=given, use_simplify=case % 2 == 0)
+            cfg = RunConfig(theta=math.inf, seeds=given)
             want = tuple(t for t in every if t.edges <= union)
             assert run(g, cfg).trees == want, case
+
+    def test_non_integer_index_is_a_graph_error(self, triangle):
+        # 2.0 raised a bare TypeError, and True ran as edge 1 and came
+        # back as a bool in the tree
+        for tree, bad in ((frozenset({2.0}), "2.0"), (frozenset({True, 0}), "True")):
+            with pytest.raises(
+                GraphError, match=f"^seed tree 0: edge index {bad} is not an integer$"
+            ):
+                run(triangle, RunConfig(seeds=(tree,)))
+        with pytest.raises(GraphError, match="^edge index True is not an integer$"):
+            union_subgraph(triangle, {True, 0})
 
     @pytest.mark.parametrize(
         "make",
@@ -201,8 +216,9 @@ class TestSeedsField:
             lambda: SeedConfig(max_retries=5),
             lambda: RunConfig(use_seeds=False),
             lambda: RunConfig(seed_trees=(frozenset({0}),)),
+            lambda: RunConfig(use_simplify=True),
         ],
-        ids=["max_retries", "use_seeds", "seed_trees"],
+        ids=["max_retries", "use_seeds", "seed_trees", "use_simplify"],
     )
     def test_removed_fields_are_type_errors(self, make):
         with pytest.raises(TypeError, match="unknown"):
@@ -212,7 +228,7 @@ class TestSeedsField:
         """Fields change only on purpose: each addition or removal edits
         these lists."""
         assert RunConfig._fields == (
-            "k", "theta", "theta_ratio", "seeds", "seed_root", "use_simplify", "node_cap",
+            "k", "theta", "theta_ratio", "seeds", "seed_root", "node_cap",
         )
         assert SeedConfig._fields == ("num_seeds", "perturb_fraction", "rng_seed")
 
@@ -222,6 +238,29 @@ def test_configs_share_equal_seed_defaults():
     assert a.seeds == b.seeds == SeedConfig()
     assert a == b and hash(a) == hash(b)
     assert RunConfig(seeds=SeedConfig(rng_seed=1)) != a
+
+
+def test_simplification_changes_no_output():
+    """run always simplifies; the diagram of the graph as given writes
+    the same trees and the same truncation flag at every theta and k."""
+    rng = random.Random(30)
+    contracted = 0
+    for case in range(300):
+        g = random_connected_graph(rng, weight_hi=5)
+        if case % 3 == 1:
+            g = subdivide_edge(g, rng.randrange(len(g.edges)), rng)
+        elif case % 3 == 2:
+            g = add_parallel_edge_and_loop(g, rng, rng.random() < 0.5)
+        whole = reduce_bdd(construct_bdd(g, order_edges(g)))
+        for theta in (None, 0, 5, 20):
+            for k in (1, 3, 10**6):
+                want = enumerate_trees(whole, k=k, theta=theta)
+                cfg = RunConfig(k=k, theta=math.inf if theta is None else theta, seeds=None)
+                got = run(g, cfg)
+                assert (got.trees, got.truncated) == (want.trees, want.truncated), (
+                    case, theta, k)
+        contracted += got.pre_edges < len(g.edges)
+    assert contracted > 100
 
 
 class TestTreeOrder:
@@ -244,7 +283,6 @@ class TestTreeOrder:
                 k=rng.choice([1, 3, 10, 1000]),
                 seeds=(SeedConfig(perturb_fraction=0.3, rng_seed=case)
                        if case % 2 == 0 else None),
-                use_simplify=case % 4 < 2,
                 **bound,
             )
             trees = [(t.cost, t.sorted_edges()) for t in run(g, cfg).trees]
@@ -276,10 +314,9 @@ class TestIdentityExpansion:
         monkeypatch.setattr(pipeline, "expand_tree", counted)
         return calls
 
-    @pytest.mark.parametrize("use_simplify", [False, True])
-    def test_identity_map_is_not_expanded(self, monkeypatch, use_simplify):
+    def test_identity_map_is_not_expanded(self, monkeypatch):
         g = self.GRID
-        cfg = RunConfig(theta=math.inf, seeds=None, use_simplify=use_simplify)
+        cfg = RunConfig(theta=math.inf, seeds=None)
         d, want = self.expanded(g, cfg)
         assert d.smap.replacements == tuple((i,) for i in range(len(g.edges)))
         assert len(want) > 1
@@ -302,7 +339,7 @@ class TestIdentityExpansion:
 
     def test_strict_seed_union_is_expanded(self, monkeypatch):
         g = self.GRID
-        cfg = RunConfig(k=20, use_simplify=False)
+        cfg = RunConfig(k=20)
         assert len(select_seeds(g, cfg.seeds).edge_map) < len(g.edges)
         _, want = self.expanded(g, cfg)
         calls = self.count_expansions(monkeypatch)

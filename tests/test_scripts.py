@@ -27,7 +27,7 @@ class TestSameOutputs:
 
     def test_commands_name_written_inputs(self, same_outputs, tmp_path):
         cmds = same_outputs.commands(tmp_path)
-        assert len(cmds) == 202
+        assert len(cmds) == 177
         for cmd in cmds:
             assert cmd[1] == "--input"
             assert Path(cmd[2]).is_file()
