@@ -7,10 +7,10 @@ OTHER_SRC is the ``src/`` directory of another checkout, for example of
 the parent commit (``git worktree add ../parent HEAD~1``, then pass
 ``../parent/src``).  Each command runs once with ``PYTHONPATH`` set to
 this checkout's ``src/`` and once with it set to OTHER_SRC, and every
-command whose exit code, stdout or stderr differ is printed.  The last
-lines count the differing commands by subcommand and stream, one line
-per pair, such as ``build stdout: 20``.  The exit status is 1 if any
-differ, else 0.
+command whose exit code, stdout, stderr or written file differ is
+printed.  The last lines count the differing commands by subcommand and
+stream, one line per pair, such as ``build stdout: 20``.  The exit
+status is 1 if any differ, else 0.
 
 The instances are the benchmark's (``perfbench/instances.py``, seeds
 0-4).  The 170 commands are ``enumerate`` with each workload's own flags
@@ -27,19 +27,21 @@ benchmark's 1%; and ``enumerate --k 20`` and ``build``, each with
 ``--seeds-from-file`` naming the trees that this checkout's ``seeds
 --perturb 0.01`` wrote for that instance.  The grids have no degree-2
 non-terminal, so simplification leaves them as they are.  Two of the
-grid commands write a run report and an expansion map to ``/dev/null``: the CLI loads
-json only on such paths, which are then compared by exit code and
-stderr.  Two more stop at a node cap of 2000 and exit 5, so the cap's
-diagnostic, the level and the layer sizes so far, is compared against
-the other tree's.  Seven more run ``stats`` on copies of sparse-seeded
-seed 0 instance 0 with one fault each (see ``malformed``), so error
-messages, their line numbers and the exit code are compared too: 177
-commands in all.
+grid commands write a run report and an expansion map, the only paths
+on which the CLI loads json, each to a file of its own; that file's
+text is the fourth stream compared, with the report's ``timing_ms``
+values masked (see ``masked``).  Two more stop at a node cap of 2000
+and exit 5, so the cap's diagnostic, the level and the layer sizes so
+far, is compared against the other tree's.  Seven more run ``stats`` on
+copies of sparse-seeded seed 0 instance 0 with one fault each (see
+``malformed``), so error messages, their line numbers and the exit code
+are compared too: 177 commands in all.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -52,6 +54,9 @@ sys.path.insert(0, str(ROOT))
 from perfbench.instances import WORKLOADS  # noqa: E402
 
 SEEDS = range(5)
+OUT = "<file>"  # stands for the command's own output file
+FILE_FLAGS = ("--report", "--map")  # the flags that write the file compared
+STREAMS = ("exit code", "stdout", "stderr", "file")  # as outcome returns them
 GRID_WORKLOADS = ("grid-topk", "grid-build")
 GRID_COMMANDS = (
     ("build", "--exact", "--theta", "inf"),
@@ -60,9 +65,9 @@ GRID_COMMANDS = (
     ("count",),
     ("enumerate", "--exact", "--k", "50"),
     ("enumerate", "--k", "50", "--perturb", "0.3"),
-    ("enumerate", "--exact", "--k", "50", "--report", "/dev/null"),
+    ("enumerate", "--exact", "--k", "50", "--report", OUT),
     ("enumerate", "--exact", "--k", "50", "--node-cap", "2000"),
-    ("simplify", "--map", "/dev/null"),
+    ("simplify", "--map", OUT),
     ("stats",),
 )
 SPARSE_COMMANDS = (
@@ -121,13 +126,15 @@ def commands(work: Path) -> list[tuple[str, ...]]:
                 stp.write_text(w.instance(seed, i).stp(), encoding="utf-8")
                 out.append(("enumerate", "--input", str(stp), *w.args))
                 if w.name in GRID_WORKLOADS:
-                    out.extend((cmd, "--input", str(stp), *flags)
-                               for cmd, *flags in GRID_COMMANDS)
+                    for j, (cmd, *flags) in enumerate(GRID_COMMANDS):
+                        own = str(work / f"{stp.stem}-{j}.out")
+                        out.append((cmd, "--input", str(stp),
+                                    *(own if f == OUT else f for f in flags)))
                 elif i == 0:
                     out.extend((cmd, "--input", str(stp), *flags)
                                for cmd, *flags in SPARSE_COMMANDS)
                     seeds = work / f"{w.name}-{seed}-{i}-seeds.jsonl"
-                    code, text, err = outcome(
+                    code, text, err, _ = outcome(
                         ROOT / "src", ("seeds", "--input", str(stp), "--perturb", "0.01"))
                     if code:
                         raise RuntimeError(f"seeds on {stp} exited {code}: {err}")
@@ -142,18 +149,35 @@ def commands(work: Path) -> list[tuple[str, ...]]:
     return out
 
 
-def outcome(src: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:
+def masked(text: str) -> str:
+    """text with each number in a ``"timing_ms"`` object replaced by
+    ``*``: a report's timings differ from run to run, its keys, their
+    order and its other values do not."""
+    return re.sub(r'"timing_ms": \{[^}]*\}',
+                  lambda m: re.sub(r"-?\d[\d.eE+-]*", "*", m[0]), text)
+
+
+def outcome(src: Path, argv: tuple[str, ...]) -> tuple[int, str, str, str | None]:
+    """Exit code, stdout, stderr and the masked text of the file that a
+    flag in ``FILE_FLAGS`` names (None without such a flag, or when the
+    run wrote no file).  The file is removed first, so what is read is
+    this run's."""
+    written = next((Path(argv[i + 1]) for i, flag in enumerate(argv[:-1])
+                    if flag in FILE_FLAGS), None)
+    if written:
+        written.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-m", "steinerenum", *argv],
                           capture_output=True, text=True, env=env)
-    return proc.returncode, proc.stdout, proc.stderr
+    text = masked(written.read_text()) if written and written.exists() else None
+    return proc.returncode, proc.stdout, proc.stderr, text
 
 
 def tally(differences) -> list[str]:
     """One line per (subcommand, stream) pair among differences, which
     are (command, differing streams) pairs, with the number of commands
-    whose stream differs: ``build stdout: 20``.  Sorted by subcommand,
-    then stream."""
+    whose stream differs: ``build stdout: 20``.  A stream is one of
+    ``STREAMS``.  Sorted by subcommand, then stream."""
     counts = Counter((cmd[0], part) for cmd, parts in differences for part in parts)
     return [f"{sub} {part}: {n}" for (sub, part), n in sorted(counts.items())]
 
@@ -174,8 +198,7 @@ def main(argv=None) -> int:
         for cmd in cmds:
             a, b = outcome(ours, cmd), outcome(other, cmd)
             if a != b:
-                parts = [name for name, x, y in zip(("exit code", "stdout", "stderr"), a, b)
-                         if x != y]
+                parts = [name for name, x, y in zip(STREAMS, a, b) if x != y]
                 differences.append((cmd, parts))
                 print(f"differs ({', '.join(parts)}): steinerenum {' '.join(cmd)}")
     print(f"{len(differences)} of {len(cmds)} commands differ")

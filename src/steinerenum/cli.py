@@ -46,7 +46,7 @@ from io import TextIOBase
 from .frontier import DEFAULT_NODE_CAP, NodeCapExceeded
 from .graph import (Graph, GraphError, SteinerTree, default_root, order_edges, parse_stp,
                     simplify, write_stp)
-from .pipeline import RunConfig, RunResult, build_diagram, run
+from .pipeline import DEFAULT_THETA_RATIO, RunConfig, RunResult, build_diagram, run
 from .seeds import SeedConfig, select_seeds
 from .traverse import count_trees, validate_tree
 
@@ -77,28 +77,17 @@ def _emit_trees(trees, g: Graph, out: TextIOBase):
     out.write("".join(_tree_line(t, texts) + "\n" for t in trees))
 
 
-def _write_report(out: TextIOBase, res: RunResult):
+def _write_report(out: TextIOBase, res: RunResult, g: Graph):
+    costs = [t.cost for t in res.trees]
     report = {
-        "graph": {
-            "v": res.graph_vertices,
-            "e": res.graph_edges,
-            "t": res.graph_terminals,
-        },
+        "graph": {"v": g.vertex_count, "e": len(g.edges), "t": len(g.terminals)},
         "preprocessed": {"v": res.pre_vertices, "e": res.pre_edges},
         "bdd": {"nodes": res.bdd_nodes, "nodes_reduced": res.bdd_nodes_reduced},
-        "timing_ms": {
-            "construct": res.timing_ms["construct"],
-            "reduce": res.timing_ms["reduce"],
-            "traverse": res.timing_ms["traverse"],
-        },
+        "timing_ms": res.timing_ms,
         "trees": {
-            "count": len(res.trees),
-            "min_cost": res.trees[0].cost if res.trees else None,
-            "avg_cost": (
-                sum(t.cost for t in res.trees) / len(res.trees)
-                if res.trees
-                else None
-            ),
+            "count": len(costs),
+            "min_cost": costs[0] if costs else None,
+            "avg_cost": sum(costs) / len(costs) if costs else None,
         },
     }
     import json  # loaded only where a command writes or reads it
@@ -108,35 +97,24 @@ def _write_report(out: TextIOBase, res: RunResult):
 
 def _theta_args(p: argparse.ArgumentParser):
     group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--theta",
-        type=str,
-        default=None,
-        help="absolute cost bound (number, or 'inf' for unbounded)",
-    )
-    group.add_argument(
-        "--theta-ratio",
-        type=str,
-        default=None,
-        help="bound as a multiple of the cheapest seed tree (default 1.2)",
-    )
+    group.add_argument("--theta", help="absolute cost bound (number, or 'inf' for unbounded)")
+    group.add_argument("--theta-ratio", help="bound as a multiple of the cheapest seed tree "
+                       f"(default {float(DEFAULT_THETA_RATIO)})")
 
 
 def _seed_args(p: argparse.ArgumentParser):
-    p.add_argument("--seeds", type=int, default=3, help="number of seed trees")
+    p.add_argument("--seeds", type=int, default=SeedConfig.num_seeds,
+                   help="number of seed trees")
     p.add_argument(
         "--perturb",
         type=float,
-        default=0.05,
+        default=SeedConfig.perturb_fraction,
         help="fraction of edges deleted per perturbed seed run",
     )
-    p.add_argument("--rng-seed", type=int, default=0, help="perturbation RNG seed")
-    p.add_argument(
-        "--seed-root",
-        type=str,
-        default="min-degree",
-        help="root terminal for seed trees: 'min-degree' or a vertex id",
-    )
+    p.add_argument("--rng-seed", type=int, default=SeedConfig.rng_seed,
+                   help="perturbation RNG seed")
+    p.add_argument("--seed-root", default="min-degree",
+                   help="root terminal for seed trees: 'min-degree' or a vertex id")
 
 
 def _fraction(flag: str, text: str) -> Fraction:
@@ -185,7 +163,7 @@ def _run_config(args, g: Graph) -> RunConfig:
     seed_trees = _load_seed_file(args.seeds_from_file, g) if args.seeds_from_file else None
     cfg = _seed_config(args, g)
     return cfg._replace(
-        k=getattr(args, "k", 1000),  # build writes no trees
+        k=getattr(args, "k", RunConfig.k),  # build writes no trees
         theta=theta,
         theta_ratio=ratio,
         seeds=None if args.exact else seed_trees or cfg.seeds,
@@ -331,7 +309,7 @@ def _cmd_enumerate(args, g: Graph, cfg: RunConfig) -> int:
     res = run(g, cfg)
     _emit_trees(res.trees, g, args.output)
     if args.report:
-        _write_report(args.report, res)
+        _write_report(args.report, res, g)
     theta_text = "unbounded" if res.theta is None else str(res.theta)
     print(
         f"enumerate: {len(res.trees)} tree(s) within theta={theta_text}; "
@@ -373,12 +351,12 @@ def _make_parser() -> argparse.ArgumentParser:
     add("stats", _cmd_stats, "print instance statistics as JSON")
 
     p = add("simplify", _cmd_simplify, "write the simplified instance")
-    p.add_argument("--output", default=None)
-    p.add_argument("--map", default=None, help="write the expansion map as JSON")
+    p.add_argument("--output")
+    p.add_argument("--map", help="write the expansion map as JSON")
 
     p = add("seeds", _cmd_seeds, "write seed trees as JSON lines", _seed_config)
     _seed_args(p)
-    p.add_argument("--output", default=None)
+    p.add_argument("--output")
 
     for name, fn, help_text in (
         ("build", _cmd_build, "construct, reduce and dump the diagram"),
@@ -391,12 +369,12 @@ def _make_parser() -> argparse.ArgumentParser:
         searched = p.add_mutually_exclusive_group()
         searched.add_argument("--exact", action="store_true",
                               help="search the whole graph")
-        searched.add_argument("--seeds-from-file", default=None, help="JSONL seed trees")
+        searched.add_argument("--seeds-from-file", help="JSONL seed trees")
         p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
-        p.add_argument("--output", default=None)
+        p.add_argument("--output")
         if name == "enumerate":
-            p.add_argument("--k", type=int, default=1000, help="trees written")
-            p.add_argument("--report", default=None, help="write a JSON run report")
+            p.add_argument("--k", type=int, default=RunConfig.k, help="trees written")
+            p.add_argument("--report", help="write a JSON run report")
 
     p = add("count", _cmd_count, "print the exact tree count (unbounded)", _count_config)
     p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)

@@ -20,7 +20,7 @@ from array import array
 from collections import namedtuple
 from operator import itemgetter
 
-from .graph import Graph, GraphError, EdgeOrder, Record
+from .graph import Graph, GraphError, EdgeOrder, Record, check_bound, check_int
 
 ZERO = 0  # sink ids double as arc-target encoding and dump tokens
 ONE = 1
@@ -56,15 +56,19 @@ class Bdd(Record):
     ordered edge (1-based; ``levels[0]`` is empty).
     ``edge_order``/``edge_costs`` carry, per level, the original edge
     index and its cost, so traversal needs no extra context.  ``root``
-    is 0 when no assignment survived construction or reduction.
+    follows from the layout: it is node 2, which construction always
+    makes, or 0 when no assignment survived reduction and no node is left.
     """
 
     edge_order: tuple[int, ...]
     edge_costs: tuple[int, ...]
-    root: int
     lo: array
     hi: array
     levels: tuple[range, ...]
+
+    @property
+    def root(self) -> int:
+        return 2 if len(self.lo) > 2 else ZERO
 
     @property
     def level_count(self) -> int:
@@ -265,9 +269,9 @@ def construct_bdd(
     to the ``lo``/``hi`` arrays as it is decided, and the arrays become
     the diagram's.
     """
+    check_bound("theta", theta)
+    check_int("node_cap", node_cap, error=GraphError)
     search = FrontierSearch(g, order)
-    if theta is not None and theta < 0:
-        raise GraphError("theta must be non-negative")
     m = len(order.permutation)
     limit = node_cap + 2  # the first id over the cap
 
@@ -320,7 +324,6 @@ def construct_bdd(
     return Bdd(
         edge_order=tuple(order.permutation),
         edge_costs=tuple(g.edges[idx][2] for idx in order.permutation),
-        root=2,
         lo=lo,
         hi=hi,
         levels=tuple(levels),

@@ -8,14 +8,40 @@ the map needed to expand trees back onto the original edge set.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain
 import math
+from numbers import Real
 
 
 class GraphError(ValueError):
     """Invalid graph data (range, weight, connectivity...)."""
+
+
+def check_int(name: str, value, least: int | None = 1, error: type[Exception] = ValueError):
+    """An int, not a bool (which is an int to isinstance), of at least
+    ``least`` unless that is None.  Counts (k, node_cap, num_seeds) take
+    the default, at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer")
+    if least is not None and value < least:
+        raise error(f"{name} must be " + (f"at least {least}" if least else "non-negative"))
+
+
+def check_bound(name: str, value, error: type[Exception] = GraphError):
+    """A bound in scaled units (theta, entry_budget): None, or an int of at least 0."""
+    if value is not None:
+        check_int(name, value, 0, error)
+
+
+def check_number(name: str, value):
+    """A number as given (an unscaled theta or ratio, a fraction): real or
+    a Decimal, not a bool.  Returns value."""
+    if isinstance(value, bool) or not isinstance(value, (Real, Decimal)):
+        raise GraphError(f"{name} must be a number, not a {type(value).__name__}")
+    return value
 
 
 class ParseError(GraphError):
@@ -650,11 +676,15 @@ def _chain(links: list[int], start: int) -> list[int]:
 def expand_tree(tree: SteinerTree, smap: SimplificationMap) -> SteinerTree:
     """Translate a tree on the simplified graph back to original edges.
 
-    The tree maps in one pass of C-level calls.  A negative index would
-    read from the end of the map, so ``min`` rules those out first; an
-    index past the end stops the pass.  Either way the error names the
-    first bad index in iteration order."""
+    A bool or non-int index is refused first.  Then the tree maps in
+    one pass of C-level calls.  A negative index would read from the end
+    of the map, so ``min`` rules those out next; an index past the end
+    stops the pass.  Either way the error names the first bad index in
+    iteration order."""
     edges, reps = tree.edges, smap.replacements
+    for i in edges:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise GraphError(f"edge index {i!r} is not an integer")
     try:
         if edges and min(edges) < 0:
             raise IndexError

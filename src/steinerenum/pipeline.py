@@ -20,12 +20,16 @@ from .graph import (
     Record,
     SimplificationMap,
     SteinerTree,
+    check_int,
+    check_number,
     expand_tree,
     order_edges,
     simplify,
 )
 from .seeds import SeedConfig, select_seeds, tosp_tree, union_subgraph
 from .traverse import enumerate_trees, reduce_bdd, validate_tree
+
+DEFAULT_THETA_RATIO = Fraction(6, 5)  # when neither theta nor theta_ratio is set
 
 
 class RunConfig(Record):
@@ -55,22 +59,14 @@ class RunConfig(Record):
     def __post_init__(self):
         if self.theta is not None and self.theta_ratio is not None:
             raise ValueError("theta and theta_ratio are mutually exclusive")
-        for name in ("k", "node_cap"):  # a bool is an int to isinstance
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer")
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1")
-        root = self.seed_root
-        if root is not None and (isinstance(root, bool) or not isinstance(root, int)):
-            raise ValueError("seed_root must be an integer")
+        check_int("k", self.k)
+        check_int("node_cap", self.node_cap)
+        if self.seed_root is not None:
+            check_int("seed_root", self.seed_root, None)
         for name in ("theta", "theta_ratio"):
-            if isinstance(getattr(self, name), bool):
-                raise GraphError(f"{name} must be a number, not a bool")
-        if self.theta is not None and not self.theta >= 0:
-            raise GraphError("theta must be non-negative")
-        if self.theta_ratio is not None and not self.theta_ratio >= 0:
-            raise GraphError("theta_ratio must be non-negative")
+            value = getattr(self, name)
+            if value is not None and not check_number(name, value) >= 0:  # nan too
+                raise GraphError(f"{name} must be non-negative")
         if self.seeds is not None and not self.seeds:
             raise GraphError("seeds holds no tree")
 
@@ -78,9 +74,6 @@ class RunConfig(Record):
 class RunResult(Record):
     trees: tuple[SteinerTree, ...]  # original edge indices, ascending cost
     theta: int | None  # scaled units actually applied (None: unbounded)
-    graph_vertices: int
-    graph_edges: int
-    graph_terminals: int
     pre_vertices: int
     pre_edges: int
     bdd_nodes: int
@@ -114,7 +107,7 @@ def resolve_theta(
     if reference_cost is None:
         reference_cost = tosp_tree(g, cfg.seed_root).cost
     if bound is None:
-        bound = Fraction(6, 5)
+        bound = DEFAULT_THETA_RATIO
     return math.floor(bound * reference_cost)
 
 
@@ -198,9 +191,6 @@ def run(g: Graph, cfg: RunConfig = RunConfig()) -> RunResult:
     return RunResult(
         trees=trees,
         theta=d.theta,
-        graph_vertices=g.vertex_count,
-        graph_edges=len(g.edges),
-        graph_terminals=len(g.terminals),
         pre_vertices=_active_vertex_count(d.graph),
         pre_edges=len(d.graph.edges),
         bdd_nodes=d.nodes,

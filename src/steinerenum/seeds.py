@@ -13,7 +13,8 @@ import heapq
 import math
 import random
 
-from .graph import Graph, GraphError, Record, SteinerTree, default_root
+from .graph import (Graph, GraphError, Record, SteinerTree, check_int, check_number,
+                    default_root)
 
 MAX_RETRIES = 50  # samples drawn per perturbed seed before it is skipped
 
@@ -33,13 +34,9 @@ class SeedConfig(Record):
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_seeds", "rng_seed"):
-            value = getattr(self, name)  # a bool is an int to isinstance
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer")
-        if self.num_seeds < 1:
-            raise ValueError("num_seeds must be at least 1")
-        if not 0 <= self.perturb_fraction < 1:
+        check_int("num_seeds", self.num_seeds)
+        check_int("rng_seed", self.rng_seed, None)
+        if not 0 <= check_number("perturb_fraction", self.perturb_fraction) < 1:
             raise ValueError("perturb_fraction must lie in [0, 1)")
 
 

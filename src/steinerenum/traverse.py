@@ -17,7 +17,7 @@ from itertools import accumulate, compress
 from operator import mul
 
 from .frontier import Bdd, ZERO, ONE
-from .graph import Graph, GraphError, Record, SteinerTree
+from .graph import Graph, GraphError, Record, SteinerTree, check_bound, check_int
 
 
 class TraversalError(RuntimeError):
@@ -59,7 +59,7 @@ def reduce_bdd(bdd: Bdd) -> Bdd:
         a, b = ids.start, ids.stop
         alive[a:b] = bytes([alive[x] | alive[y] for x, y in zip(lo[a:b], hi[a:b])])
 
-    # dead ids map to the 0-sink, and so do arcs into them and a dead root
+    # dead ids map to the 0-sink, and so do arcs into them
     remap = array("q", map(mul, accumulate(alive), alive))
     new_lo = array("q", (-1, -1))
     new_hi = array("q", (-1, -1))
@@ -74,7 +74,6 @@ def reduce_bdd(bdd: Bdd) -> Bdd:
     return Bdd(
         edge_order=bdd.edge_order,
         edge_costs=bdd.edge_costs,
-        root=remap[bdd.root],
         lo=new_lo,
         hi=new_hi,
         levels=tuple(levels),
@@ -150,10 +149,12 @@ def enumerate_trees(
     the heap top equals the cut cost; those trees are sorted in with the
     rest and the first k kept.  Every arc leads to the next level, so an
     entry carries its node's level and each step down adds one.
-    ``entry_budget`` bounds the heap size.
+    ``entry_budget`` bounds the heap size.  A bool or non-int ``k``,
+    ``theta`` or ``entry_budget``, or one out of range, is a TraversalError.
     """
-    if k < 1:
-        raise TraversalError("k must be at least 1")
+    check_int("k", k, error=TraversalError)
+    check_bound("theta", theta, TraversalError)
+    check_bound("entry_budget", entry_budget, TraversalError)
 
     best = _cheapest_completions(bdd)
     # no path costs more than all edges together, and inf exceeds that

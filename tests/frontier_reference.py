@@ -295,7 +295,6 @@ def reference_construct_bdd(
     return Bdd(
         edge_order=tuple(order.permutation),
         edge_costs=tuple(g.edges[idx][2] for idx in order.permutation),
-        root=root,
         lo=tuple(lo),
         hi=tuple(hi),
         levels=tuple(tuple(lvl) for lvl in levels),
@@ -338,13 +337,9 @@ def reference_reduce_bdd(bdd: Bdd) -> Bdd:
                 lo.append(remap[new_lo[nid]])
                 hi.append(remap[new_hi[nid]])
 
-    root = remap.get(bdd.root, ZERO) if bdd.root >= 2 else bdd.root
-    if root >= 2 and not alive[bdd.root]:
-        root = ZERO
     return Bdd(
         edge_order=bdd.edge_order,
         edge_costs=bdd.edge_costs,
-        root=root,
         lo=tuple(lo),
         hi=tuple(hi),
         levels=tuple(tuple(lvl) for lvl in levels),

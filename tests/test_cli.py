@@ -640,6 +640,16 @@ class TestOtherSubcommands:
             assert cfg.seeds == (frozenset({2}),)
         assert config("count").seeds is None
 
+    def test_defaults_are_the_records(self):
+        """Without flags, build and enumerate run RunConfig's defaults,
+        the seed root aside (the CLI picks one from the graph)."""
+        g = parse_stp(TRIANGLE_STP)
+        for command in ("build", "enumerate"):
+            args = cli._make_parser().parse_args([command, "--input", "g.stp"])
+            cfg = args.config(args, g)
+            assert cfg.seed_root == 1
+            assert cfg._replace(seed_root=None) == pipeline.RunConfig()
+
     def test_seeds_from_file_may_be_the_output(self, tri_path, tmp_path):
         seeds = tmp_path / "seeds.jsonl"
         seeds.write_text('{"edges": [[1, 2], [2, 3]]}\n{"edges": [[1, 3]]}\n')

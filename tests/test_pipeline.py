@@ -8,11 +8,15 @@ import pytest
 
 import steinerenum
 from steinerenum import (
+    Bdd,
     Graph,
     GraphError,
     RunConfig,
+    RunResult,
     SeedConfig,
+    SteinerTree,
     construct_bdd,
+    count_trees,
     enumerate_trees,
     expand_tree,
     order_edges,
@@ -22,9 +26,11 @@ from steinerenum import (
     resolve_theta,
     run,
     select_seeds,
+    simplify,
     tosp_tree,
     union_subgraph,
 )
+from steinerenum.frontier import ZERO
 from steinerenum.pipeline import build_diagram
 
 from .conftest import (
@@ -231,6 +237,47 @@ class TestSeedsField:
             "k", "theta", "theta_ratio", "seeds", "seed_root", "node_cap",
         )
         assert SeedConfig._fields == ("num_seeds", "perturb_fraction", "rng_seed")
+
+
+def test_run_result_fields():
+    """The input's sizes are the caller's graph, not result fields."""
+    assert RunResult._fields == (
+        "trees", "theta", "pre_vertices", "pre_edges", "bdd_nodes",
+        "bdd_nodes_reduced", "peak_entries", "truncated", "timing_ms",
+    )
+
+
+def test_bdd_fields_and_root(triangle):
+    """The root follows from the id layout: node 2 on a constructed
+    diagram, even one whose two nodes reach no 1-sink, and 0 once
+    reduction leaves no node."""
+    assert Bdd._fields == ("edge_order", "edge_costs", "lo", "hi", "levels")
+    bdd = construct_bdd(triangle, order_edges(triangle), 0)
+    assert bdd.node_count == 2 and count_trees(bdd) == 0
+    assert bdd.root == 2
+    reduced = reduce_bdd(bdd)
+    assert reduced.node_count == 0 and reduced.root == ZERO
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # True is in a set of ints as 1: it expanded to edge 1's chain
+        (lambda g: expand_tree(SteinerTree(frozenset({True}), 0), simplify(g)[1]),
+         "edge index True is not an integer"),
+        (lambda g: SeedConfig(perturb_fraction=False),
+         "perturb_fraction must be a number, not a bool"),
+        # the three below raised a bare TypeError
+        (lambda g: SeedConfig(perturb_fraction="0.1"),
+         "perturb_fraction must be a number, not a str"),
+        (lambda g: RunConfig(theta="3"), "theta must be a number, not a str"),
+        (lambda g: RunConfig(theta_ratio="3"), "theta_ratio must be a number, not a str"),
+    ],
+    ids=["expand_tree-bool", "perturb-bool", "perturb-str", "theta-str", "ratio-str"],
+)
+def test_bools_and_non_numbers_are_graph_errors(triangle, make, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        make(triangle)
 
 
 def test_configs_share_equal_seed_defaults():

@@ -31,16 +31,52 @@ class TestSameOutputs:
         for cmd in cmds:
             assert cmd[1] == "--input"
             assert Path(cmd[2]).is_file()
+            assert same_outputs.OUT not in cmd and "/dev/null" not in cmd
+        # a report and a map on each of the 10 grid instances, each its own file
+        files = [cmd[-1] for cmd in cmds if cmd[-2] in same_outputs.FILE_FLAGS]
+        assert len(files) == len(set(files)) == 20
 
     def test_outcome_runs_the_cli(self, same_outputs, tmp_path):
         stp = tmp_path / "tri.stp"
         stp.write_text(TRIANGLE_STP)
-        code, out, err = same_outputs.outcome(
+        code, out, err, written = same_outputs.outcome(
             ROOT / "src", ("stats", "--input", str(stp))
         )
         assert code == 0
         assert '"terminals": 2' in out
         assert err == ""
+        assert written is None
+
+    def test_outcome_reads_the_written_file(self, same_outputs, tmp_path):
+        stp, report = tmp_path / "tri.stp", tmp_path / "report.json"
+        stp.write_text(TRIANGLE_STP)
+        report.write_text("stale\n")
+        code, _, _, written = same_outputs.outcome(
+            ROOT / "src", ("enumerate", "--input", str(stp), "--report", str(report))
+        )
+        assert code == 0
+        assert '"construct": *,' in written and '"traverse": *\n' in written
+        assert '"graph": {' in written and "stale" not in written
+        # a run that stops before opening its outputs writes no file
+        code, _, _, written = same_outputs.outcome(
+            ROOT / "src", ("enumerate", "--input", str(report), "--report", str(report))
+        )
+        assert code == 3 and written is None
+
+    def test_masked_hides_only_timings(self, same_outputs):
+        report = (
+            '{\n  "bdd": {\n    "nodes": 5\n  },\n  "timing_ms": {\n'
+            '    "construct": 0.25,\n    "reduce": 1e-05,\n    "traverse": 12\n'
+            '  },\n  "trees": {\n    "count": 2\n  }\n}\n'
+        )
+        masked = same_outputs.masked(report)
+        assert masked == report.replace("0.25", "*").replace("1e-05", "*").replace(
+            "12\n", "*\n")
+        assert same_outputs.masked(report.replace("0.25", "31.5")) == masked
+        assert same_outputs.masked(report.replace('"nodes": 5', '"nodes": 6')) != masked
+        assert same_outputs.masked(report.replace('"reduce"', '"prune"')) != masked
+        smap = '{\n  "replacements": [\n    [0, 1]\n  ]\n}\n'
+        assert same_outputs.masked(smap) == smap
 
     def test_tally_counts_commands_by_subcommand_and_stream(self, same_outputs):
         differences = [

@@ -6,6 +6,8 @@ import pytest
 
 from steinerenum import (
     Graph,
+    GraphError,
+    NodeCapExceeded,
     SteinerTree,
     TraversalError,
     construct_bdd,
@@ -248,6 +250,47 @@ class TestEnumerate:
         first = [(t.cost, t.sorted_edges()) for t in runs[0].trees]
         for res in runs[1:]:
             assert [(t.cost, t.sorted_edges()) for t in res.trees] == first
+
+
+class TestCountsAndBounds:
+    """construct_bdd and enumerate_trees apply RunConfig's rule before any
+    work: a count is an int, not a bool, of at least 1, and a bound in
+    scaled units is None or an int of at least 0."""
+
+    def test_construct_bdd(self, triangle):
+        order = order_edges(triangle)
+        for kwargs, message in (
+            # these two used to raise NodeCapExceeded on level 1, with
+            # layer sizes [1, -1, 0] and [1, 1.5, 0]
+            (dict(node_cap=0), "node_cap must be at least 1"),
+            (dict(node_cap=2.5), "node_cap must be an integer"),
+            (dict(node_cap=True), "node_cap must be an integer"),
+            (dict(theta=True), "theta must be an integer"),  # built with theta 1
+            (dict(theta=1.5), "theta must be an integer"),
+            (dict(theta=-1), "theta must be non-negative"),
+        ):
+            with pytest.raises(GraphError, match=f"^{message}$"):
+                construct_bdd(triangle, order, **kwargs)
+        with pytest.raises(NodeCapExceeded):
+            construct_bdd(triangle, order, node_cap=1)
+
+    def test_enumerate_trees(self, triangle):
+        red = reduce_bdd(build(triangle))
+        for kwargs, message in (
+            # k=2.5 traversed, then failed on slicing with a bare TypeError;
+            # k=True ran as k=1, and theta=-1 returned no tree
+            (dict(k=2.5), "k must be an integer"),
+            (dict(k=True), "k must be an integer"),
+            (dict(k=0), "k must be at least 1"),
+            (dict(k=1, theta=True), "theta must be an integer"),
+            (dict(k=1, theta=2.5), "theta must be an integer"),
+            (dict(k=1, theta=-1), "theta must be non-negative"),
+            (dict(k=1, entry_budget=True), "entry_budget must be an integer"),
+            (dict(k=1, entry_budget=-1), "entry_budget must be non-negative"),
+        ):
+            with pytest.raises(TraversalError, match=f"^{message}$"):
+                enumerate_trees(red, **kwargs)
+        assert enumerate_trees(red, k=1, theta=0, entry_budget=0).trees == ()
 
 
 class TestOrderIndependence:
